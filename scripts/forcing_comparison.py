@@ -2,8 +2,9 @@
 """Compare target-forcing configurations on a small synthetic task.
 
 Trains one model per (mode, site) combination on the same dataset and
-reports final training loss and the output-language audit, mirroring the
-Pre/Post/Final/Decoder × concat/merge comparison at desk scale.
+reports final training loss and the output-language audit on the dev
+split, mirroring the Pre/Post/Final/Decoder × concat/merge comparison at
+desk scale.
 
 Example:
     python scripts/forcing_comparison.py --n-utt 400 --steps 150
@@ -11,25 +12,15 @@ Example:
 
 import argparse
 import json
-import os
 import tempfile
 
-import numpy as np
-
-from multislt.decoding import decode_corpus
-from multislt.evaluate import language_audit
-from multislt.manifest import build_vocab, read_manifest
-from multislt.model import ModelConfig, SpeechTransformer
-from multislt.optim import AdamState
-from multislt.synth import alphabet_map, default_languages, synth_dataset
-from multislt.trainer import (BatchComposer, LRSchedule, load_examples,
-                              train_loop)
+from multislt.experiment import run_toy_experiment
 
 CONFIGS = [("merge", "pre"), ("merge", "final"), ("merge", "decoder"),
            ("concat", "pre"), ("concat", "final"), ("concat", "decoder")]
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--work-dir", default=None)
     ap.add_argument("--seed", type=int, default=17)
@@ -38,38 +29,17 @@ def main():
     ap.add_argument("--steps", type=int, default=150)
     ap.add_argument("--warmup", type=int, default=80)
     ap.add_argument("--lr-max", type=float, default=0.003)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="forcing_cmp_")
-    languages = default_languages(args.languages)
-    lang_ids = [l.lang_id for l in languages]
-    data_dir = os.path.join(work_dir, "data")
-    manifest_path, _ = synth_dataset(data_dir, seed=args.seed,
-                                     n_utt_per_lang=args.n_utt,
-                                     languages=languages)
-    entries = read_manifest(manifest_path)
-    vocab = build_vocab(entries, lang_ids)
-    train_ex = load_examples(entries, vocab, base_dir=data_dir, split="train")
-    dev_ex = load_examples(entries, vocab, base_dir=data_dir, split="dev")
-
     results = {}
     for mode, site in CONFIGS:
-        cfg = ModelConfig.desk(vocab_size=len(vocab), languages=lang_ids,
-                               forcing_mode=mode, forcing_site=site)
-        model = SpeechTransformer(cfg, seed=args.seed)
-        model.set_rng(np.random.default_rng((args.seed, 999)))
-        composer = BatchComposer(train_ex, seed=args.seed)
-        sched = LRSchedule(lr_max=args.lr_max, warmup=args.warmup)
-        last = None
-        for _, _, loss in train_loop(model, composer, AdamState(), sched,
-                                     steps=args.steps, accum=1):
-            last = loss
-        model.eval()
-        hyps = decode_corpus(model, vocab,
-                             [(ex.features, ex.lang) for ex in dev_ex],
-                             max_len=14)
-        audit = language_audit([(ex.lang, h.text) for ex, h in zip(dev_ex, hyps)],
-                               alphabet_map(languages))
+        result = run_toy_experiment(
+            work_dir, seed=args.seed, n_languages=args.languages,
+            n_utt_per_lang=args.n_utt, steps=args.steps, accum=1,
+            warmup=args.warmup, lr_max=args.lr_max, forcing_mode=mode,
+            forcing_site=site, eval_split="dev", workers=1)
+        last, audit = result["losses"][-1], result["audit"]
         results[f"{mode}-{site}"] = {"final_loss": round(last, 4),
                                      "audit": {k: round(v, 3)
                                                for k, v in sorted(audit.items())}}

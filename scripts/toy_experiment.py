@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Run the desk-scale multilingual experiment and print a metrics report.
 
+Flags left out take run_toy_experiment's defaults, the criterion-7 recipe.
+
 Example:
     python scripts/toy_experiment.py --work-dir /tmp/toy --steps 600
 """
@@ -12,30 +14,27 @@ import tempfile
 from multislt.experiment import moving_average, run_toy_experiment
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                 argument_default=argparse.SUPPRESS)
     ap.add_argument("--work-dir", default=None,
                     help="dataset/checkpoint directory (default: temp dir)")
-    ap.add_argument("--seed", type=int, default=17)
-    ap.add_argument("--languages", type=int, default=3)
-    ap.add_argument("--n-utt", type=int, default=3000)
-    ap.add_argument("--steps", type=int, default=700)
-    ap.add_argument("--accum", type=int, default=4)
-    ap.add_argument("--warmup", type=int, default=130)
-    ap.add_argument("--lr-max", type=float, default=0.003)
-    ap.add_argument("--checkpoint", default=None)
-    ap.add_argument("--max-eval", type=int, default=None)
-    args = ap.parse_args()
+    ap.add_argument("--seed", type=int)
+    ap.add_argument("--languages", dest="n_languages", type=int)
+    ap.add_argument("--n-utt", dest="n_utt_per_lang", type=int)
+    ap.add_argument("--steps", type=int)
+    ap.add_argument("--accum", type=int)
+    ap.add_argument("--warmup", type=int)
+    ap.add_argument("--lr-max", type=float)
+    ap.add_argument("--checkpoint")
+    ap.add_argument("--max-eval", type=int)
+    kwargs = vars(ap.parse_args(argv))
 
-    work_dir = args.work_dir or tempfile.mkdtemp(prefix="toyexp_")
-    result = run_toy_experiment(
-        work_dir, seed=args.seed, n_languages=args.languages,
-        n_utt_per_lang=args.n_utt, steps=args.steps, accum=args.accum,
-        warmup=args.warmup,
-        lr_max=args.lr_max, checkpoint=args.checkpoint,
-        max_eval=args.max_eval, verbose=True)
+    work_dir = kwargs.pop("work_dir") or tempfile.mkdtemp(prefix="toyexp_")
+    result = run_toy_experiment(work_dir, verbose=True, **kwargs)
 
-    ma = moving_average(result["losses"], 20)
+    # a short run averages over all its updates
+    ma = moving_average(result["losses"], min(20, len(result["losses"])))
     summary = {
         "updates": result["updates"],
         "first_ma20": ma[0],

@@ -12,23 +12,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import Field, asdict, dataclass, fields
 
 import numpy as np
 
 from .audio import mel_spectrogram, read_wav, write_feature_archive
 from .decoding import decode_corpus
-from .evaluate import bleu, classify_language, language_audit
+from .evaluate import bleu, classify_language, language_audit, target_alphabets
+from .forcing import MODES, SITES
 from .manifest import (ManifestError, ManifestEntry, build_vocab,
                        read_manifest, write_manifest)
-from .model import ModelConfig, SpeechTransformer
-from .optim import AdamState
-from .trainer import (ACCUM_STEPS, BatchComposer, CheckpointError, LRSchedule,
-                      load_checkpoint, load_examples, mix_asr, save_checkpoint,
-                      train_loop, transfer_encoder)
+from .model import DESK, ModelConfig, SpeechTransformer
+from .trainer import (CheckpointError, LRSchedule, load_checkpoint, load_examples,
+                      mix_asr, save_checkpoint, train_model)
 from . import synth as synthmod
-
-DATA_DIR_ENV = "MULTISLT_DATA_DIR"
 
 
 class UsageError(ValueError):
@@ -37,61 +34,98 @@ class UsageError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Resolved settings of one run, logged for provenance."""
+    """Resolved settings of one train or asr-pretrain run, logged for
+    provenance. Each field but ``subcommand`` is a flag of those commands
+    (asr-pretrain has no forcing or ASR mixing) and a ``--config`` key.
+    """
 
     subcommand: str
     manifest: str | None = None
-    data_dir: str = "."
     seed: int = 0
     steps: int = 200
-    accum: int = ACCUM_STEPS
-    lr_max: float = 0.01
-    lr_init: float = 0.0003
-    warmup: int = 4000
+    accum: int = 16
+    lr_max: float = LRSchedule.lr_max
+    lr_init: float = LRSchedule.lr_init
+    warmup: int = LRSchedule.warmup
     forcing: str = "none"
     site: str = "pre"
     mix_asr: bool = False
     transfer_from: str | None = None
     save: str | None = None
     log: str | None = None
-    d_model: int = 64
-    ff_hidden: int = 128
-    n_encoder_layers: int = 2
-    n_decoder_layers: int = 2
-    n_heads: int = 4
-    dropout: float = 0.1
-    asr_only: bool = False
+    d_model: int = DESK["d_model"]
+    ff_hidden: int = DESK["ff_hidden"]
+    n_encoder_layers: int = DESK["n_encoder_layers"]
+    n_decoder_layers: int = DESK["n_decoder_layers"]
+    n_heads: int = DESK["n_heads"]
+    dropout: float = ModelConfig.dropout
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Optional JSON config file; explicit flags win. Unknown keys rejected."""
-    if not getattr(args, "config", None):
-        return
-    with open(args.config, encoding="utf-8") as f:
-        values = json.load(f)
-    known = vars(args)
-    sub_action = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    subparser = sub_action.choices[args.subcommand]
-    defaults = {a.dest: a.default for a in subparser._actions}
-    for key, val in values.items():
-        if key not in known:
-            raise UsageError(f"unknown config key {key!r}")
-        if known[key] == defaults.get(key):  # flag left at default: file wins
-            setattr(args, key, val)
+CHOICES = {"forcing": MODES, "site": SITES}
 
 
-def _data_dir(args) -> str:
-    return args.data_dir or os.environ.get(DATA_DIR_ENV, ".")
+def _run_fields(subcommand: str) -> dict[str, Field]:
+    skip = {"subcommand"}
+    if subcommand == "asr-pretrain":
+        skip |= {"forcing", "site", "mix_asr"}
+    return {f.name: f for f in fields(RunConfig) if f.name not in skip}
 
 
-def _target_alphabets(entries) -> dict[str, set[str]]:
-    """Per-language character sets from training targets, for the audit."""
-    out: dict[str, set[str]] = {}
-    for e in entries:
-        if e.split == "train":
-            out.setdefault(e.lang, set()).update(e.target_text)
-    return out
+def _field_type(f: Field) -> type:
+    return str if f.default is None else type(f.default)
+
+
+def add_run_flags(parser: argparse.ArgumentParser, subcommand: str):
+    """One flag per RunConfig field of ``subcommand``."""
+    parser.add_argument("--config", help="JSON file of RunConfig fields; flags win")
+    for name, f in _run_fields(subcommand).items():
+        flag = "--" + name.replace("_", "-")
+        if _field_type(f) is bool:
+            parser.add_argument(flag, action="store_true")
+        else:
+            parser.add_argument(flag, type=_field_type(f), choices=CHOICES.get(name),
+                                required=name == "manifest")
+
+
+def _file_value(f: Field, value):
+    """Parse a config-file value as its flag would parse the same text.
+
+    null is kept where the default is None. ModelConfig checks the forcing
+    mode and site.
+    """
+    kind = _field_type(f)
+    if value is None and f.default is None:
+        return None
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+    else:
+        try:
+            return kind(str(value))
+        except ValueError:
+            pass
+    raise UsageError(f"config key {f.name!r}: expected {kind.__name__}, got {value!r}")
+
+
+def resolve_run_config(args: argparse.Namespace) -> RunConfig:
+    """RunConfig defaults < ``--config`` file < flags the user gave.
+
+    Run flags default to ``argparse.SUPPRESS``, so ``args`` holds only the
+    flags on the command line.
+    """
+    known = _run_fields(args.subcommand)
+    values = {}
+    if getattr(args, "config", None):
+        with open(args.config, encoding="utf-8") as f:
+            loaded = json.load(f)
+        if not isinstance(loaded, dict):
+            raise UsageError(f"{args.config}: expected a JSON object")
+        for key, val in loaded.items():
+            if key not in known:
+                raise UsageError(f"unknown config key {key!r}")
+            values[key] = _file_value(known[key], val)
+    values.update({k: v for k, v in vars(args).items() if k in known})
+    return RunConfig(subcommand=args.subcommand, **values)
 
 
 def cmd_extract(args) -> int:
@@ -122,81 +156,40 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _build_run_config(args, subcommand: str) -> RunConfig:
-    rc = RunConfig(subcommand=subcommand)
-    for key in vars(rc):
-        if hasattr(args, key):
-            setattr(rc, key, getattr(args, key))
-    rc.data_dir = _data_dir(args)
-    return rc
-
-
-def _run_training(args, asr_only: bool) -> int:
-    rc = _build_run_config(args, "asr-pretrain" if asr_only else "train")
-    rc.asr_only = asr_only
-    entries = read_manifest(args.manifest, check_files=False)
-    if asr_only:
+def cmd_train(args) -> int:
+    """train and asr-pretrain; the latter targets the English transcripts."""
+    rc = resolve_run_config(args)
+    entries = read_manifest(rc.manifest, check_files=False)
+    if rc.subcommand == "asr-pretrain":
         entries = [ManifestEntry(e.audio_path, e.transcript, e.transcript, "en", e.split)
                    for e in entries if e.transcript]
-        rc.forcing = "none"
-    elif args.mix_asr:
+    elif rc.mix_asr:
         entries = mix_asr(entries)
     languages = sorted({e.lang for e in entries})
     vocab = build_vocab(entries, languages)
-    base = os.path.dirname(os.path.abspath(args.manifest))
+    base = os.path.dirname(os.path.abspath(rc.manifest))
     examples = load_examples(entries, vocab, base_dir=base, split="train")
 
-    cfg = ModelConfig(vocab_size=len(vocab), languages=tuple(languages),
-                      d_model=rc.d_model, ff_hidden=rc.ff_hidden,
-                      n_encoder_layers=rc.n_encoder_layers,
-                      n_decoder_layers=rc.n_decoder_layers, n_heads=rc.n_heads,
-                      dropout=rc.dropout, forcing_mode=rc.forcing,
-                      forcing_site=rc.site)
-    model = SpeechTransformer(cfg, seed=rc.seed)
-    model.set_rng(np.random.default_rng((rc.seed, 999)))
-    if rc.transfer_from:
-        copied = transfer_encoder(rc.transfer_from, model)
-        print(f"transferred {copied} encoder tensors from {rc.transfer_from}")
-
+    cfg = ModelConfig.desk(len(vocab), languages, dropout=rc.dropout,
+                           forcing_mode=rc.forcing, forcing_site=rc.site,
+                           **{name: getattr(rc, name) for name in DESK})
     sched = LRSchedule(lr_init=rc.lr_init, lr_max=rc.lr_max, warmup=rc.warmup)
-    state = AdamState()
-    composer = BatchComposer(examples, seed=rc.seed)
-    log = open(rc.log, "w", encoding="utf-8") if rc.log else None
-    try:
-        last = None
-        for step, lr, loss in train_loop(model, composer, state, sched,
-                                         steps=rc.steps, accum=rc.accum,
-                                         log=log, run_config=asdict(rc)):
-            last = (step, lr, loss)
-            if step % 50 == 0 or step == 1:
-                print(f"step {step}  lr {lr:.6g}  loss {loss:.4f}")
-        if last:
-            print(f"done: step {last[0]}  loss {last[2]:.4f}")
-    finally:
-        if log:
-            log.close()
+    model, state, _ = train_model(cfg, examples, rc.seed, sched, rc.steps, rc.accum,
+                                  transfer_from=rc.transfer_from, log_path=rc.log,
+                                  run_config=asdict(rc), verbose=True)
     if rc.save:
         save_checkpoint(rc.save, model, vocab, state)
         print(f"saved checkpoint {rc.save}")
     return 0
 
 
-def cmd_train(args) -> int:
-    return _run_training(args, asr_only=False)
-
-
-def cmd_asr_pretrain(args) -> int:
-    return _run_training(args, asr_only=True)
-
-
 def cmd_translate(args) -> int:
     model, vocab, _ = load_checkpoint(args.checkpoint)
     model.eval()
     entries = read_manifest(args.manifest, check_files=False)
-    alphabets = _target_alphabets(entries)
-    rows = [e for e in entries if e.split == args.split]
+    alphabets = target_alphabets(entries)
     base = os.path.dirname(os.path.abspath(args.manifest))
-    examples = load_examples(rows, vocab, base_dir=base, split=args.split)
+    examples = load_examples(entries, vocab, base_dir=base, split=args.split)
     items = [(ex.features, ex.lang) for ex in examples]
     hyps = decode_corpus(model, vocab, items, beam=args.beam,
                          max_len=args.max_len, workers=args.workers)
@@ -223,6 +216,9 @@ def cmd_evaluate(args) -> int:
                if e.split == args.split}
     by_lang: dict[str, tuple[list[str], list[str]]] = {}
     for utt_id, lang, _, _, text in hyps:
+        if utt_id not in entries:
+            raise UsageError(f"hypothesis {utt_id!r} is not in split {args.split!r} "
+                             f"of {args.manifest}")
         ref = entries[utt_id].target_text
         by_lang.setdefault(lang, ([], []))[0].append(text)
         by_lang[lang][1].append(" ".join(ref) if args.char_level else ref)
@@ -238,7 +234,7 @@ def cmd_evaluate(args) -> int:
 def cmd_audit(args) -> int:
     hyps = _read_hyps(args.hyp)
     entries = read_manifest(args.manifest, check_files=False)
-    alphabets = _target_alphabets(entries)
+    alphabets = target_alphabets(entries)
     acc = language_audit([(lang, text) for _, lang, _, _, text in hyps], alphabets)
     report = {"language_accuracy": {k: acc[k] for k in sorted(acc)}}
     out = json.dumps(report, indent=2, sort_keys=True)
@@ -309,36 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--noise", type=float, default=0.05)
     sy.set_defaults(func=cmd_synth)
 
-    def add_train_flags(tp):
-        tp.add_argument("--manifest", required=True)
-        tp.add_argument("--config", help="JSON config file; flags win")
-        tp.add_argument("--data-dir", default=None)
-        tp.add_argument("--seed", type=int, default=0)
-        tp.add_argument("--steps", type=int, default=200)
-        tp.add_argument("--accum", type=int, default=ACCUM_STEPS)
-        tp.add_argument("--lr-max", type=float, default=0.01)
-        tp.add_argument("--lr-init", type=float, default=0.0003)
-        tp.add_argument("--warmup", type=int, default=4000)
-        tp.add_argument("--forcing", choices=["none", "concat", "merge"], default="none")
-        tp.add_argument("--site", choices=["pre", "post", "final", "decoder"], default="pre")
-        tp.add_argument("--mix-asr", action="store_true")
-        tp.add_argument("--transfer-from", default=None)
-        tp.add_argument("--save", default=None)
-        tp.add_argument("--log", default=None)
-        tp.add_argument("--d-model", type=int, default=64)
-        tp.add_argument("--ff-hidden", type=int, default=128)
-        tp.add_argument("--n-encoder-layers", type=int, default=2)
-        tp.add_argument("--n-decoder-layers", type=int, default=2)
-        tp.add_argument("--n-heads", type=int, default=4)
-        tp.add_argument("--dropout", type=float, default=0.1)
-
-    tr = sub.add_parser("train", help="train a multilingual model")
-    add_train_flags(tr)
-    tr.set_defaults(func=cmd_train)
-
-    ap = sub.add_parser("asr-pretrain", help="train with English-only (ASR) targets")
-    add_train_flags(ap)
-    ap.set_defaults(func=cmd_asr_pretrain)
+    for name, help_text in (("train", "train a multilingual model"),
+                            ("asr-pretrain", "train with English-only (ASR) targets")):
+        tp = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        add_run_flags(tp, name)
+        tp.set_defaults(func=cmd_train)
 
     td = sub.add_parser("translate", help="decode a split to a hypothesis TSV")
     td.add_argument("--checkpoint", required=True)
@@ -378,8 +349,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        if hasattr(args, "config"):
-            _apply_config_file(args, parser)
         return args.func(args)
     except (UsageError, ManifestError, CheckpointError, FileNotFoundError,
             ValueError) as e:

@@ -29,8 +29,7 @@ def _norm(logprob: float, n_tokens: int, alpha: float) -> float:
 
 
 def _step_logits(model: SpeechTransformer, enc, prefix: list[int], lang) -> np.ndarray:
-    logits = model.decode_logits(enc, np.array([prefix]),
-                                 None if model.cfg.forcing_mode == "none" else [lang])
+    logits = model.decode_logits(enc, np.array([prefix]), lang)
     return logits.data[0, -1]
 
 
@@ -39,8 +38,7 @@ def greedy_decode(model: SpeechTransformer, vocab: Vocabulary, features: np.ndar
     """Argmax per step until eos or max_len. Model must be in eval mode."""
     if model.training:
         raise RuntimeError("decode on a frozen model (call .eval())")
-    enc = model.encode(features[None], [features.shape[0]],
-                       None if model.cfg.forcing_mode == "none" else lang)
+    enc = model.encode(features[None], [features.shape[0]], lang)
     prefix = [BOS_ID]
     logprob = 0.0
     truncated = True
@@ -58,13 +56,19 @@ def greedy_decode(model: SpeechTransformer, vocab: Vocabulary, features: np.ndar
 def beam_decode(model: SpeechTransformer, vocab: Vocabulary, features: np.ndarray,
                 lang: str | None = None, beam: int = 5, alpha: float = 0.6,
                 max_len: int = 200) -> Hypothesis:
-    """Keep the top-`beam` prefixes by length-normalized score; beam=1 ≡ greedy."""
+    """Keep the top-`beam` prefixes by length-normalized score; beam=1 ≡ greedy.
+
+    The search stops once no live prefix can beat the best finished
+    hypothesis: log-probabilities only fall, so a live prefix scores at
+    most ``lp / max_len ** alpha``. Live prefixes count as (truncated)
+    hypotheses only when the search reaches ``max_len``.
+    """
     if model.training:
         raise RuntimeError("decode on a frozen model (call .eval())")
-    enc = model.encode(features[None], [features.shape[0]],
-                       None if model.cfg.forcing_mode == "none" else lang)
+    enc = model.encode(features[None], [features.shape[0]], lang)
     live = [([BOS_ID], 0.0)]
     finished: list[tuple[list[int], float, bool]] = []
+    best = -np.inf
     for _ in range(max_len):
         candidates = []
         for prefix, lp in live:
@@ -73,18 +77,15 @@ def beam_decode(model: SpeechTransformer, vocab: Vocabulary, features: np.ndarra
             for tok in top:
                 candidates.append((prefix + [int(tok)], lp + float(logp[tok])))
         candidates.sort(key=lambda c: _norm(c[1], len(c[0]) - 1, alpha), reverse=True)
-        live = []
+        live = [(prefix, lp) for prefix, lp in candidates if prefix[-1] != EOS_ID][:beam]
         for prefix, lp in candidates:
             if prefix[-1] == EOS_ID:
                 finished.append((prefix, lp, False))
-            elif len(live) < beam:
-                live.append((prefix, lp))
-            if len(live) >= beam and len(finished) >= beam:
-                break
-        if not live or len(finished) >= beam:
+                best = max(best, _norm(lp, len(prefix) - 1, alpha))
+        if not live or best >= max(lp for _, lp in live) / max_len ** alpha:
             break
-    for prefix, lp in live:
-        finished.append((prefix, lp, True))
+    else:
+        finished += [(prefix, lp, True) for prefix, lp in live]
     ids, lp, truncated = max(finished,
                              key=lambda c: _norm(c[1], len(c[0]) - 1, alpha))
     return Hypothesis(ids, lp, vocab.decode(ids), truncated)

@@ -70,6 +70,19 @@ def token_accuracy(hypotheses: list[str], references: list[str]) -> float:
     return sum(scores) / len(scores)
 
 
+def target_alphabets(entries) -> dict[str, set[str]]:
+    """Per-language character sets of the training targets, for the audit.
+
+    Takes manifest entries. Only ``train`` rows count, because the
+    vocabulary is built from them.
+    """
+    out: dict[str, set[str]] = {}
+    for e in entries:
+        if e.split == "train":
+            out.setdefault(e.lang, set()).update(e.target_text)
+    return out
+
+
 def classify_language(text: str, alphabets: dict[str, set[str]]) -> str | None:
     """Majority character membership over disjoint alphabets; None if empty/tied."""
     counts = {lang: sum(1 for c in text if c in chars)

@@ -44,23 +44,23 @@ class LanguageEmbeddingTable(Module):
 
 
 def apply_concat(x: Tensor, l: Tensor) -> Tensor:
-    """Prepend ``l`` as row 0 of a T×W sequence; rows 1..T are unchanged."""
+    """Prepend ``l`` as frame 0 on the time axis (-2) of a ...×T×W tensor.
+
+    ``l`` is a W vector, or has the leading axes of ``x`` (size 1 where it
+    is shared, e.g. across channels) and size 1 on the time axis. Frames
+    1..T are ``x`` unchanged.
+    """
     if x.shape[-1] != l.shape[-1]:
         raise ShapeError(f"width mismatch: sequence {x.shape} vs embedding {l.shape}")
-    return T.concat([T.reshape(l, (1, l.shape[-1])), x], axis=0)
+    front = T.broadcast_to(l, x.shape[:-2] + (1, x.shape[-1]))
+    return T.concat([front, x], axis=-2)
 
 
 def apply_merge(x: Tensor, l: Tensor) -> Tensor:
-    """Add ``l`` to every row of a T×W sequence; length unchanged."""
+    """Add ``l`` to every frame of a ...×T×W tensor; shapes as for concat."""
     if x.shape[-1] != l.shape[-1]:
         raise ShapeError(f"width mismatch: sequence {x.shape} vs embedding {l.shape}")
     return T.add(x, l)
-
-
-def _rows_as(rows: Tensor, shape) -> Tensor:
-    """Broadcast B×W rows to an explicit shape ending in W (for concat)."""
-    return T.add(T.reshape(rows, (shape[0],) + (1,) * (len(shape) - 2) + (shape[-1],)),
-                 Tensor(np.zeros(shape)))
 
 
 class TargetForcing(Module):
@@ -75,30 +75,25 @@ class TargetForcing(Module):
         self.site = site
         self.table = LanguageEmbeddingTable(languages, width, rng, std=std)
 
-    def inject_seq(self, x: Tensor, langs) -> tuple[Tensor, bool]:
-        """Inject into a B×T×W sequence. Returns (tensor, length_grew)."""
+    def _vectors(self, x: Tensor, langs) -> Tensor:
+        """Per-utterance vectors shaped B×1×…×1×W to broadcast against ``x``."""
         rows = self.table.rows(langs)
-        if self.mode == "merge":
-            return T.add(x, T.reshape(rows, (x.shape[0], 1, x.shape[-1]))), False
-        front = _rows_as(rows, (x.shape[0], 1, x.shape[-1]))
-        return T.concat([front, x], axis=1), True
+        return T.reshape(rows, (x.shape[0],) + (1,) * (x.ndim - 2) + (x.shape[-1],))
 
-    def inject_4d(self, x: Tensor, langs) -> tuple[Tensor, bool]:
-        """Inject into a B×C×T×F tensor (the post site).
+    def inject_seq(self, x: Tensor, langs) -> Tensor:
+        """Inject into a B×T×W sequence, or a B×C×T×F tensor (the post site).
 
-        Merge broadcasts the vector over channel and time on the frequency
-        axis; concat prepends one learned time frame across all channels.
+        Merge adds the vector to every frame (of every channel); concat
+        prepends it as one time frame, repeated across channels.
         """
-        rows = self.table.rows(langs)
-        if self.mode == "merge":
-            return T.add(x, T.reshape(rows, (x.shape[0], 1, 1, x.shape[-1]))), False
-        front = _rows_as(rows, (x.shape[0], x.shape[1], 1, x.shape[-1]))
-        return T.concat([front, x], axis=2), True
+        l = self._vectors(x, langs)
+        return apply_merge(x, l) if self.mode == "merge" else apply_concat(x, l)
+
+    inject_4d = inject_seq  # the post site's name for the same injection
 
     def inject_decoder(self, emb: Tensor, langs) -> Tensor:
         """Merge adds to every character embedding; concat replaces bos."""
-        rows = self.table.rows(langs)
+        l = self._vectors(emb, langs)
         if self.mode == "merge":
-            return T.add(emb, T.reshape(rows, (emb.shape[0], 1, emb.shape[-1])))
-        front = T.reshape(rows, (emb.shape[0], 1, emb.shape[-1]))
-        return T.concat([front, emb[:, 1:, :]], axis=1)
+            return apply_merge(emb, l)
+        return apply_concat(emb[:, 1:, :], l)

@@ -11,7 +11,6 @@ ASR rows; "en" is treated like any other target language.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -91,13 +90,6 @@ class Vocabulary:
 
     def decode(self, ids) -> str:
         return "".join(self.id_to_char[i] for i in ids if i in self.id_to_char)
-
-    def to_json(self) -> str:
-        return json.dumps({"chars": self.chars}, ensure_ascii=False, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "Vocabulary":
-        return cls(json.loads(s)["chars"])
 
     def __eq__(self, other):
         return isinstance(other, Vocabulary) and self.chars == other.chars

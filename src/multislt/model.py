@@ -21,6 +21,10 @@ from .tensor import Tensor
 
 NEG_INF = -1e30  # additive mask value; exp() underflows to exactly 0
 
+# Laptop-sized model dimensions; structural wiring identical to full scale.
+DESK = {"d_model": 64, "ff_hidden": 128, "n_encoder_layers": 2,
+        "n_decoder_layers": 2, "n_heads": 4}
+
 
 @dataclass
 class ModelConfig:
@@ -56,11 +60,9 @@ class ModelConfig:
 
     @classmethod
     def desk(cls, vocab_size: int, languages=(), **overrides) -> "ModelConfig":
-        """Laptop-sized preset; structural wiring identical to full scale."""
-        kw = dict(d_model=64, ff_hidden=128, n_encoder_layers=2,
-                  n_decoder_layers=2, n_heads=4)
-        kw.update(overrides)
-        return cls(vocab_size=vocab_size, languages=tuple(languages), **kw)
+        """The ``DESK`` preset, with any field overridden."""
+        return cls(vocab_size=vocab_size, languages=tuple(languages),
+                   **{**DESK, **overrides})
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -314,33 +316,28 @@ class SpeechTransformer(Module):
         lengths = np.asarray(lengths, dtype=np.int64)
         langs = self._langs(langs, B)
         site = self.cfg.forcing_site if self.forcing is not None else None
+        grew = int(self.cfg.forcing_mode == "concat")  # frames the forcing prepends
         if site == "pre":
-            x, grew = self.forcing.inject_seq(x, langs)
-            if grew:
-                lengths = lengths + 1
+            x = self.forcing.inject_seq(x, langs)
+            lengths = lengths + grew
         enc = self.encoder
         h = enc.front2(enc.front1(T.reshape(x, (B, 1) + x.shape[1:])))
         lengths = ceil_div_lengths(ceil_div_lengths(lengths, 2), 2)
-        t_now = h.shape[2]
-        mask = lengths_to_mask(lengths, t_now)
-        pen = distance_penalty(t_now)
+        mask = lengths_to_mask(lengths, h.shape[2])
+        pen = distance_penalty(h.shape[2])
         h = enc.sa2d1(h, mask, pen)
         h = enc.sa2d2(h, mask, pen)
         if site == "post":
-            h, grew = self.forcing.inject_4d(h, langs)
-            if grew:
-                lengths = lengths + 1
-                t_now = h.shape[2]
-                mask = lengths_to_mask(lengths, t_now)
+            h = self.forcing.inject_4d(h, langs)
         # merge channel and frequency axes
-        h = T.reshape(T.transpose(h, (0, 2, 1, 3)), (B, t_now, -1))
+        h = T.reshape(T.transpose(h, (0, 2, 1, 3)), (B, h.shape[2], -1))
         h = T.relu(enc.proj(h))
         if site == "final":
-            h, grew = self.forcing.inject_seq(h, langs)
-            if grew:
-                lengths = lengths + 1
-                t_now = h.shape[1]
-                mask = lengths_to_mask(lengths, t_now)
+            h = self.forcing.inject_seq(h, langs)
+        if site in ("post", "final"):
+            lengths = lengths + grew
+        t_now = h.shape[1]
+        mask = lengths_to_mask(lengths, t_now)
         h = T.add(h, Tensor(positional_encoding(t_now, self.cfg.d_model)))
         h = enc.pe_drop(h)
         bias = _key_bias(mask) + distance_penalty(t_now) * -1.0

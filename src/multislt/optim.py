@@ -25,16 +25,18 @@ def adam_step(params: list[tuple[str, Tensor]], state: AdamState, lr: float) -> 
     """One bias-corrected Adam update; gradients are zeroed afterwards.
 
     Parameters without an accumulated gradient are treated as zero-gradient
-    (moments still decay). A NaN gradient aborts, naming the parameter.
+    (moments still decay). A non-finite gradient aborts, naming the
+    parameter, before any parameter, moment or the step counter changes.
     """
+    for name, p in params:
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for name, p in params:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)

@@ -243,6 +243,19 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(data, (a,), backward)
 
 
+def broadcast_to(a: Tensor, shape) -> Tensor:
+    """Numpy broadcasting to ``shape``; the gradient sums over copies."""
+    shape = tuple(shape)
+    if a.shape == shape:
+        return a
+    data = np.broadcast_to(a.data, shape).copy()  # C order fixes backward's sum order
+
+    def backward(g):
+        a._accumulate(_unbroadcast(g, a.shape))
+
+    return _make(data, (a,), backward)
+
+
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)

@@ -7,6 +7,7 @@ import json
 import os
 import struct
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,6 @@ from .optim import AdamState, adam_step
 from .tensor import Tensor
 
 MAX_PER_LANG = 8
-ACCUM_STEPS = 16
 
 
 @dataclass
@@ -126,60 +126,46 @@ def load_examples(entries: list[ManifestEntry], vocab: Vocabulary,
 
 
 class BatchComposer:
-    """Takes up to 8 next utterances from every active language per batch.
+    """Takes up to 8 next utterances from every language per batch.
 
     Each language reshuffles independently (seeded stream) when its epoch is
-    exhausted; with ``max_epochs`` set, a language drops out after that many
-    passes and composition ends once every language is done.
+    exhausted, so the stream of batches never ends.
     """
 
-    def __init__(self, examples: list[Example], seed: int = 0,
-                 max_per_lang: int = MAX_PER_LANG, max_epochs: int | None = None):
+    def __init__(self, examples: list[Example], seed: int = 0):
         if not examples:
             raise ValueError("no training examples")
-        self.max_per_lang = max_per_lang
-        self.max_epochs = max_epochs
         self.by_lang: dict[str, list[Example]] = {}
         for e in examples:
             self.by_lang.setdefault(e.lang, []).append(e)
         self.rngs = {lang: np.random.default_rng((seed, i))
                      for i, lang in enumerate(sorted(self.by_lang))}
         self.queues = {lang: [] for lang in self.by_lang}
-        self.epochs = {lang: 0 for lang in self.by_lang}
 
-    def _refill(self, lang: str) -> bool:
-        if self.max_epochs is not None and self.epochs[lang] >= self.max_epochs:
-            return False
+    def _refill(self, lang: str):
         order = self.rngs[lang].permutation(len(self.by_lang[lang]))
         self.queues[lang] = [self.by_lang[lang][i] for i in order[::-1]]
-        self.epochs[lang] += 1
-        return True
 
-    def next_batch(self) -> Batch | None:
-        """None signals end of training (all languages exhausted)."""
+    def next_batch(self) -> Batch:
         chosen: list[Example] = []
         for lang in sorted(self.by_lang):
             q = self.queues[lang]
             take: list[Example] = []
-            while len(take) < self.max_per_lang:
+            while len(take) < MAX_PER_LANG:
                 if not q:
-                    if not self._refill(lang):
-                        break
+                    self._refill(lang)
                     q = self.queues[lang]
                     if take:
                         break  # "up to" semantics: a short tail stays short
                 take.append(q.pop())
             chosen.extend(take)
-        if not chosen:
-            return None
         return make_batch(chosen)
 
 
 def batch_loss(model: SpeechTransformer, batch: Batch) -> Tensor:
     """Mean token NLL over the batch's non-pad target positions."""
-    langs = batch.langs if model.cfg.forcing_mode != "none" else None
-    enc = model.encode(batch.features, batch.lengths, langs)
-    logits = model.decode_logits(enc, batch.prefix_ids, langs)
+    enc = model.encode(batch.features, batch.lengths, batch.langs)
+    logits = model.decode_logits(enc, batch.prefix_ids, batch.langs)
     flat = T.reshape(logits, (-1, model.cfg.vocab_size))
     return T.cross_entropy(flat, batch.label_ids.reshape(-1), PAD_ID)
 
@@ -346,30 +332,42 @@ def transfer_encoder(ckpt_path: str, model: SpeechTransformer) -> int:
     return copied
 
 
-def train_loop(model: SpeechTransformer, composer: BatchComposer,
-               state: AdamState, sched: LRSchedule, steps: int,
-               accum: int = ACCUM_STEPS, log=None, run_config: dict | None = None):
-    """Run ``steps`` optimizer updates; yields (step, lr, loss) per update.
+def train_model(cfg: ModelConfig, examples: list[Example], seed: int,
+                sched: LRSchedule, steps: int, accum: int,
+                transfer_from: str | None = None, log_path: str | None = None,
+                run_config: dict | None = None, verbose: bool = False):
+    """Build a model and run ``steps`` optimizer updates on ``examples``.
 
-    The resolved run configuration is written to the log before step 0 so a
-    run can be reproduced bit-exactly from its header.
+    One seed drives the run: model initialisation ``seed``, dropout
+    ``(seed, 999)`` and batch composition ``BatchComposer(seed)``. With
+    ``log_path``, ``run_config`` is written as a "# {json}" header before
+    step 0 (so the run can be reproduced from it), then one
+    step/lr/loss/elapsed row per update. Returns (model, Adam state,
+    per-update losses).
     """
-    if log is not None and run_config is not None:
-        log.write("# " + json.dumps(run_config, sort_keys=True) + "\n")
-        log.flush()
-    t0 = time.monotonic()
-    for _ in range(steps):
-        batches = []
-        for _ in range(accum):
-            b = composer.next_batch()
-            if b is None:
-                break
-            batches.append(b)
-        if not batches:
-            return
-        lr = lr_at(state.step, sched)
-        loss = train_step(model, batches, state, sched)
+    model = SpeechTransformer(cfg, seed=seed)
+    model.set_rng(np.random.default_rng((seed, 999)))
+    if transfer_from:
+        copied = transfer_encoder(transfer_from, model)
+        print(f"transferred {copied} encoder tensors from {transfer_from}")
+    composer = BatchComposer(examples, seed=seed)
+    state = AdamState()
+    losses = []
+    with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log:
         if log is not None:
-            log.write(f"{state.step}\t{lr:.8g}\t{loss:.6f}\t{time.monotonic() - t0:.3f}\n")
+            log.write("# " + json.dumps(run_config, sort_keys=True) + "\n")
             log.flush()
-        yield state.step, lr, loss
+        t0 = time.monotonic()
+        for _ in range(steps):
+            batches = [composer.next_batch() for _ in range(accum)]
+            lr = lr_at(state.step, sched)
+            losses.append(train_step(model, batches, state, sched))
+            if log is not None:
+                log.write(f"{state.step}\t{lr:.8g}\t{losses[-1]:.6f}\t"
+                          f"{time.monotonic() - t0:.3f}\n")
+                log.flush()
+            if verbose and (state.step == 1 or state.step % 50 == 0):
+                print(f"step {state.step}  lr {lr:.6g}  loss {losses[-1]:.4f}", flush=True)
+    if verbose and losses:
+        print(f"done: step {state.step}  loss {losses[-1]:.4f}")
+    return model, state, losses

@@ -53,12 +53,12 @@ def test_config_file_flags_win(dataset, tmp_path):
     cfg.write_text(json.dumps({"steps": 1, "seed": 9}))
     log = str(tmp_path / "train.log")
     code = main(["train", "--manifest", os.path.join(dataset, "manifest.tsv"),
-                 "--accum", "1", "--seed", "1", "--log", log,
+                 "--accum", "1", "--seed", "0", "--log", log,
                  "--config", str(cfg)])
     assert code == 0
     rc = json.loads(open(log, encoding="utf-8").readline()[2:])
-    assert rc["steps"] == 1   # from file (flag left at default)
-    assert rc["seed"] == 1    # explicit flag wins over file
+    assert rc["steps"] == 1   # from file (flag not given)
+    assert rc["seed"] == 0    # a given flag wins over file, even at its default
 
 
 def test_config_file_unknown_key_is_usage_error(dataset, tmp_path):
@@ -66,6 +66,36 @@ def test_config_file_unknown_key_is_usage_error(dataset, tmp_path):
     cfg.write_text(json.dumps({"nonsense": 1}))
     code, _, _ = _train(dataset, tmp_path, "--config", str(cfg))
     assert code == 1
+
+
+@pytest.mark.parametrize("values", [{"steps": "two"}, {"forcing": "bogus"},
+                                    {"mix_asr": "yes"}, [1, 2]])
+def test_config_file_bad_value_is_usage_error(dataset, tmp_path, values):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(values))
+    code, _, _ = _train(dataset, tmp_path, "--config", str(cfg))
+    assert code == 1
+
+
+def test_asr_pretrain_has_no_forcing_flags(dataset, tmp_path):
+    manifest = os.path.join(dataset, "manifest.tsv")
+    log = str(tmp_path / "asr.log")
+    for flags in (["--mix-asr"], ["--forcing", "merge"], ["--site", "post"]):
+        assert main(["asr-pretrain", "--manifest", manifest, *flags]) == 1
+    assert main(["train", "--manifest", manifest, "--data-dir", "/nope"]) == 1
+    assert main(["asr-pretrain", "--manifest", manifest, "--steps", "1",
+                 "--accum", "1", "--log", log]) == 0
+    rc = json.loads(open(log, encoding="utf-8").readline()[2:])
+    assert rc["subcommand"] == "asr-pretrain"
+    assert rc["forcing"] == "none" and rc["mix_asr"] is False
+
+
+def test_evaluate_unknown_hypothesis_id_exits_1(dataset, tmp_path, capsys):
+    hyp = tmp_path / "hyp.tsv"
+    hyp.write_text("no_such_utt\tL0\tL0\t-1.0\tabc\n")
+    assert main(["evaluate", "--hyp", str(hyp), "--manifest",
+                 os.path.join(dataset, "manifest.tsv")]) == 1
+    assert "no_such_utt" in capsys.readouterr().err
 
 
 def test_translate_evaluate_audit_round_trip(dataset, tmp_path):

@@ -87,3 +87,15 @@ def test_decoded_text_excludes_reserved_tokens():
     hyp = greedy_decode(m, VOCAB, np.random.default_rng(10).normal(size=(10, 40)),
                         max_len=6)
     assert all(ch in "abcdefgh" for ch in hyp.text)
+
+
+def test_beam_hypotheses_end_in_eos_or_reach_max_len():
+    m = _model(seed=0)
+    m.decoder.out_proj.bias.data[EOS_ID] += 0.5  # EOS ranks high, rarely first
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        hyp = beam_decode(m, VOCAB, rng.normal(size=(12, 40)), beam=5, max_len=10)
+        if hyp.truncated:
+            assert len(hyp.ids) == 11  # bos + max_len
+        else:
+            assert hyp.ids[-1] == EOS_ID

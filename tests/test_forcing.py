@@ -33,6 +33,17 @@ def test_concat_two_languages_differ_only_in_row0():
     assert not np.array_equal(a.data[0], b.data[0])
 
 
+def test_apply_concat_and_merge_broadcast_over_batch_and_channels():
+    rng = np.random.default_rng(20)
+    x = Tensor(rng.normal(size=(2, 3, 5, 4)))         # B×C×T×F
+    l = Tensor(rng.normal(size=(2, 1, 1, 4)))         # one vector per utterance
+    out = apply_concat(x, l)
+    assert out.shape == (2, 3, 6, 4)
+    np.testing.assert_array_equal(out.data[:, :, 0], np.broadcast_to(l.data[:, :, 0], (2, 3, 4)))
+    np.testing.assert_array_equal(out.data[:, :, 1:], x.data)
+    np.testing.assert_array_equal(apply_merge(x, l).data, x.data + l.data)
+
+
 def test_apply_merge_adds_to_every_row():
     l = np.random.default_rng(3).normal(size=6)
     out = apply_merge(Tensor(np.zeros((4, 6))), Tensor(l))

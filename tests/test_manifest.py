@@ -80,11 +80,6 @@ def test_vocab_unseen_maps_to_unk():
     assert v.encode("axb", add_bos_eos=False) == [v.char_to_id["a"], M.UNK_ID, v.char_to_id["b"]]
 
 
-def test_vocab_json_round_trip():
-    v = Vocabulary("xyzø")
-    assert Vocabulary.from_json(v.to_json()) == v
-
-
 def test_build_vocab_deterministic_and_train_only():
     entries = [
         ManifestEntry("a", "s", "abc", "de", "train"),
@@ -95,4 +90,4 @@ def test_build_vocab_deterministic_and_train_only():
     v2 = build_vocab(list(reversed(entries)), ["de", "nl"])
     assert v1 == v2
     assert v1.chars == ["a", "b", "c", "d", "e"]
-    assert v1.to_json() == v2.to_json()
+    assert v1.chars == v2.chars

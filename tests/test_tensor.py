@@ -231,6 +231,9 @@ OPS = {
         T.concat([x, x], axis=0), Tensor(rng.normal(size=(2 * x.shape[0],) + x.shape[1:])))),
     "transpose": lambda x, rng: T.tsum(T.mul(
         T.transpose(x, (1, 0)), Tensor(rng.normal(size=x.shape[::-1])))),
+    "broadcast_to": lambda x, rng: T.tsum(T.mul(
+        T.broadcast_to(T.reshape(x, (3, 1, 4)), (2, 3, 5, 4)),
+        Tensor(rng.normal(size=(2, 3, 5, 4))))),
 }
 
 

@@ -63,6 +63,19 @@ def test_adam_nan_gradient_names_parameter():
         adam_step([("enc.w", p)], AdamState(), lr=0.01)
 
 
+def test_adam_nan_in_last_gradient_changes_nothing():
+    params = [(name, Tensor(np.array([1.0, 2.0]), requires_grad=True)) for name in "abc"]
+    for _, p in params:
+        p.grad = np.array([0.5, -0.5])
+    params[-1][1].grad = np.array([0.0, np.nan])
+    state = AdamState()
+    with pytest.raises(FloatingPointError, match="'c'"):
+        adam_step(params, state, lr=0.1)
+    assert state.step == 0 and not state.m
+    for _, p in params:
+        np.testing.assert_array_equal(p.data, [1.0, 2.0])
+
+
 def test_adam_deterministic_across_runs():
     def run():
         rng = np.random.default_rng(42)
@@ -98,14 +111,6 @@ def test_compose_short_tail():
     comp = BatchComposer(_examples({"de": 11}), seed=2)
     assert comp.next_batch().group_sizes["de"] == 8
     assert comp.next_batch().group_sizes["de"] == 3
-
-
-def test_compose_end_of_training_signal():
-    comp = BatchComposer(_examples({"de": 4}), seed=3, max_epochs=2)
-    batches = []
-    while (b := comp.next_batch()) is not None:
-        batches.append(b)
-    assert sum(sum(b.group_sizes.values()) for b in batches) == 8
 
 
 def test_compose_deterministic_sequence():
