@@ -23,8 +23,8 @@ from .forcing import MODES, SITES
 from .manifest import (ManifestError, ManifestEntry, build_vocab,
                        read_manifest, write_manifest)
 from .model import DESK, ModelConfig, SpeechTransformer
-from .trainer import (CheckpointError, LRSchedule, load_checkpoint, load_examples,
-                      mix_asr, save_checkpoint, train_model)
+from .trainer import (DESK_RECIPE, CheckpointError, LRSchedule, load_checkpoint,
+                      load_examples, mix_asr, save_checkpoint, train_model)
 from . import synth as synthmod
 
 
@@ -42,11 +42,11 @@ class RunConfig:
     subcommand: str
     manifest: str | None = None
     seed: int = 0
-    steps: int = 200
-    accum: int = 16
-    lr_max: float = LRSchedule.lr_max
+    steps: int = DESK_RECIPE["steps"]
+    accum: int = DESK_RECIPE["accum"]
+    lr_max: float = DESK_RECIPE["lr_max"]
     lr_init: float = LRSchedule.lr_init
-    warmup: int = LRSchedule.warmup
+    warmup: int = DESK_RECIPE["warmup"]
     forcing: str = "none"
     site: str = "pre"
     mix_asr: bool = False

@@ -17,7 +17,7 @@ from .evaluate import language_audit, target_alphabets, token_accuracy
 from .manifest import build_vocab
 from .model import ModelConfig
 from .synth import default_languages, synth_dataset
-from .trainer import LRSchedule, load_examples, save_checkpoint, train_model
+from .trainer import DESK_RECIPE, LRSchedule, load_examples, save_checkpoint, train_model
 
 
 def moving_average(values, window: int) -> list[float]:
@@ -29,17 +29,18 @@ def moving_average(values, window: int) -> list[float]:
 
 
 def run_toy_experiment(work_dir: str, seed: int = 17, n_languages: int = 3,
-                       n_utt_per_lang: int = 3000, steps: int = 700,
-                       accum: int = 4, warmup: int = 130, lr_max: float = 0.003,
+                       n_utt_per_lang: int = 3000, steps: int = DESK_RECIPE["steps"],
+                       accum: int = DESK_RECIPE["accum"], warmup: int = DESK_RECIPE["warmup"],
+                       lr_max: float = DESK_RECIPE["lr_max"],
                        forcing_mode: str = "merge", forcing_site: str = "pre",
                        eval_split: str = "test", max_eval: int | None = None,
                        checkpoint: str | None = None, workers: int = 4,
                        verbose: bool = False) -> dict:
     """Train on the synthetic task and measure the outcome.
 
-    The defaults are the criterion-7 recipe (merge-at-pre). Returns a dict
-    with per-update ``losses``, the per-language ``audit`` fractions,
-    corpus ``token_accuracy``, and wall-clock ``seconds``.
+    The defaults are the criterion-7 recipe, ``DESK_RECIPE`` at merge-at-pre.
+    Returns a dict with per-update ``losses``, the per-language ``audit``
+    fractions, corpus ``token_accuracy``, and wall-clock ``seconds``.
     """
     t0 = time.monotonic()
     languages = default_languages(n_languages)

@@ -54,9 +54,15 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray):
+        # The first gradient is copied, never stored: backward closures pass
+        # arrays on (add's ``g``) that other nodes also hold. The copy takes
+        # ``data``'s memory layout, as zeros_like did, so later reductions
+        # sum in the same order.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def backward(self):
         """Reverse-mode sweep from a scalar output.
@@ -409,24 +415,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1)) -> Tensor:
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d: non-positive output extent for input {x.shape}")
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    taps = [(slice(di, di + sh * (Ho - 1) + 1, sh), slice(dj, dj + sw * (Wo - 1) + 1, sw))
+            for di in range(3) for dj in range(3)]
+    w2 = weight.data.reshape(O, C * 9)
 
-    slices = []
-    data = np.broadcast_to(bias.data.reshape(1, O, 1, 1), (B, O, Ho, Wo)).copy()
-    for di in range(3):
-        for dj in range(3):
-            xs = xp[:, :, di:di + sh * (Ho - 1) + 1:sh, dj:dj + sw * (Wo - 1) + 1:sw]
-            slices.append((di, dj, xs))
-            data += np.einsum("bchw,oc->bohw", xs, weight.data[:, :, di, dj])
+    def patches():
+        """im2col: B×(C·9)×(Ho·Wo), rows in the kernel's (c, di, dj) order."""
+        cols = np.empty((B, C, 9, Ho, Wo))
+        for k, (si, sj) in enumerate(taps):
+            cols[:, :, k] = xp[:, :, si, sj]
+        return cols.reshape(B, C * 9, Ho * Wo)
+
+    data = np.matmul(w2, patches()).reshape(B, O, Ho, Wo)
+    data += bias.data.reshape(1, O, 1, 1)
 
     def backward(g):
+        g2 = g.reshape(B, O, Ho * Wo)
+        # The patches are rebuilt rather than kept by the closure, which would
+        # hold 9× each conv's input until backward. The weight gradient is a
+        # GEMM per utterance on their transposed view, summed over the batch;
+        # tensordot over (batch, positions) would copy them first.
+        gw = np.matmul(g2, patches().transpose(0, 2, 1)).sum(axis=0)
+        gcols = np.matmul(w2.T, g2).reshape(B, C, 9, Ho, Wo)
         gxp = np.zeros_like(xp)
-        gw = np.zeros_like(weight.data)
-        for di, dj, xs in slices:
-            gw[:, :, di, dj] = np.einsum("bohw,bchw->oc", g, xs)
-            gxp[:, :, di:di + sh * (Ho - 1) + 1:sh, dj:dj + sw * (Wo - 1) + 1:sw] += \
-                np.einsum("bohw,oc->bchw", g, weight.data[:, :, di, dj])
+        for k, (si, sj) in enumerate(taps):  # col2im
+            gxp[:, :, si, sj] += gcols[:, :, k]
         x._accumulate(gxp[:, :, 1:1 + H, 1:1 + W])
-        weight._accumulate(gw)
+        weight._accumulate(gw.reshape(weight.shape))
         bias._accumulate(g.sum(axis=(0, 2, 3)))
 
     return _make(data, (x, weight, bias), backward)

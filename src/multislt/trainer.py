@@ -33,6 +33,12 @@ class LRSchedule:
     warmup: int = 4000
 
 
+# The desk training recipe, criterion 7's: the defaults of ``multislt train``
+# and of ``run_toy_experiment``. Its warmup ends well inside its run, which
+# ``LRSchedule``'s full-scale warmup of 4000 updates would not.
+DESK_RECIPE = {"steps": 700, "accum": 4, "warmup": 130, "lr_max": 0.003}
+
+
 def lr_at(step: int, sched: LRSchedule) -> float:
     if step < 0:
         raise ValueError("step must be >= 0")

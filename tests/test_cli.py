@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from multislt.audio import write_wav
-from multislt.cli import main
+from multislt.cli import build_parser, main, resolve_run_config
 from multislt.manifest import read_manifest
 from multislt.trainer import read_checkpoint
 
@@ -59,6 +59,11 @@ def test_config_file_flags_win(dataset, tmp_path):
     rc = json.loads(open(log, encoding="utf-8").readline()[2:])
     assert rc["steps"] == 1   # from file (flag not given)
     assert rc["seed"] == 0    # a given flag wins over file, even at its default
+
+
+def test_default_train_run_leaves_warmup():
+    rc = resolve_run_config(build_parser().parse_args(["train", "--manifest", "m.tsv"]))
+    assert rc.warmup < rc.steps
 
 
 def test_config_file_unknown_key_is_usage_error(dataset, tmp_path):

@@ -260,6 +260,61 @@ def test_conv2d_grad_check(seed, stride):
     assert err < 1e-4
 
 
+def _einsum_conv2d(x, w, b, stride, g):
+    """The nine-tap einsum convolution, kept as the oracle for ``T.conv2d``.
+
+    Returns the output and the x, weight and bias gradients for the upstream
+    gradient ``g``.
+    """
+    sh, sw = stride
+    B, C, H, W = x.shape
+    O = w.shape[0]
+    Ho, Wo = (H - 1) // sh + 1, (W - 1) // sw + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    out = np.broadcast_to(b.reshape(1, O, 1, 1), (B, O, Ho, Wo)).copy()
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for di in range(3):
+        for dj in range(3):
+            tap = (slice(None), slice(None), slice(di, di + sh * (Ho - 1) + 1, sh),
+                   slice(dj, dj + sw * (Wo - 1) + 1, sw))
+            out += np.einsum("bchw,oc->bohw", xp[tap], w[:, :, di, dj])
+            gw[:, :, di, dj] = np.einsum("bohw,bchw->oc", g, xp[tap])
+            gxp[tap] += np.einsum("bohw,oc->bchw", g, w[:, :, di, dj])
+    return out, gxp[:, :, 1:1 + H, 1:1 + W], gw, g.sum(axis=(0, 2, 3))
+
+
+def _rel_err(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.integers(1, 9),
+       st.integers(1, 9), st.sampled_from([(1, 1), (2, 2), (2, 1), (1, 2)]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_conv2d_matches_einsum_oracle(b, c, o, h, w, stride, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(b, c, h, w)), requires_grad=True)
+    wt = Tensor(rng.normal(size=(o, c, 3, 3)), requires_grad=True)
+    bt = Tensor(rng.normal(size=o), requires_grad=True)
+    out = T.conv2d(x, wt, bt, stride=stride)
+    g = rng.normal(size=out.shape)
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    want = _einsum_conv2d(x.data, wt.data, bt.data, stride, g)
+    for got, ref in zip((out.data, x.grad, wt.grad, bt.grad), want):
+        assert got.shape == ref.shape
+        assert _rel_err(got, ref) <= 1e-12
+
+
+def test_first_gradient_is_a_private_copy():
+    # add passes its incoming gradient on unchanged to both operands; the
+    # second += into a.grad must not reach y.grad
+    a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    y = T.add(a, a)
+    T.tsum(y).backward()
+    np.testing.assert_array_equal(y.grad, np.ones(3))
+    np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
+
+
 def test_forward_outputs_finite_on_finite_input():
     rng = np.random.default_rng(14)
     x = Tensor(rng.normal(scale=100.0, size=(4, 8)))
