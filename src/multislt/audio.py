@@ -148,9 +148,6 @@ class FeatureArchive:
                 utt_id, off = line.rstrip("\n").split("\t")
                 self.index[utt_id] = int(off)
 
-    def __contains__(self, utt_id):
-        return utt_id in self.index
-
     def load(self, utt_id: str) -> FeatureSequence:
         off = self.index[utt_id]
         with open(self.path, "rb") as f:

@@ -1,6 +1,9 @@
 """Target-language forcing: inject a learnable language embedding.
 
-Two mechanisms: *concat* prepends the embedding as an extra time frame,
+The embeddings are one table with a row per target language, looked up
+by the language's index, so a forced model's checkpoint holds a single
+``forcing.table.weight`` whose rows follow its ``languages``. Two
+mechanisms: *concat* prepends the embedding as an extra time frame,
 *merge* adds it to every frame, translating the representation to a
 language-specific region of the space. Injection sites: pre (raw
 features), post (after the 2D self-attention stack), final (after the
@@ -12,35 +15,29 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .modules import Module
+from .modules import Embedding, Module
 from .tensor import ShapeError, Tensor
 
 MODES = ("none", "concat", "merge")
 SITES = ("pre", "post", "final", "decoder")
 
 
-class LanguageEmbeddingTable(Module):
-    """One learnable vector per language, for a single injection site.
+class LanguageEmbeddingTable(Embedding):
+    """One learnable row per target language, indexed by its position in
+    ``languages``: the same lookup the decoder uses for characters."""
 
-    Vectors are separate named parameters so checkpoints carry them by
-    language name and optimizer state stays per-language.
-    """
-
-    def __init__(self, languages, width: int, rng: np.random.Generator, std: float = 0.02):
-        super().__init__()
-        self.languages = list(languages)
-        self.width = width
-        for lang in self.languages:
-            setattr(self, lang, Tensor(rng.normal(0.0, std, width), requires_grad=True))
+    def __init__(self, languages, width: int, rng: np.random.Generator):
+        super().__init__(len(languages), width, rng, std=0.02)
+        self.index = {lang: i for i, lang in enumerate(languages)}
 
     def vector(self, lang: str) -> Tensor:
-        if lang not in self._params:
-            raise KeyError(f"unknown language {lang!r}; table has {self.languages}")
-        return self._params[lang]
+        """``lang``'s row as a view: writing to its data changes the table.
+        An unknown ``lang`` raises KeyError."""
+        return Tensor(self.weight.data[self.index[lang]])
 
     def rows(self, langs) -> Tensor:
-        """Stack per-utterance vectors into a B×W tensor."""
-        return T.concat([T.reshape(self.vector(l), (1, self.width)) for l in langs], axis=0)
+        """Per-utterance rows, B×W, in one lookup."""
+        return self([self.index[l] for l in langs])
 
 
 def apply_concat(x: Tensor, l: Tensor) -> Tensor:
@@ -67,18 +64,18 @@ class TargetForcing(Module):
     """Dispatches concat/merge injection for one configured site."""
 
     def __init__(self, mode: str, site: str, languages, width: int,
-                 rng: np.random.Generator, std: float = 0.02):
+                 rng: np.random.Generator):
         super().__init__()
         if mode not in MODES or site not in SITES:
             raise ValueError(f"unconfigured forcing mode/site: {mode!r}/{site!r}")
         self.mode = mode
         self.site = site
-        self.table = LanguageEmbeddingTable(languages, width, rng, std=std)
+        self.table = LanguageEmbeddingTable(languages, width, rng)
 
     def _vectors(self, x: Tensor, langs) -> Tensor:
         """Per-utterance vectors shaped B×1×…×1×W to broadcast against ``x``."""
-        rows = self.table.rows(langs)
-        return T.reshape(rows, (x.shape[0],) + (1,) * (x.ndim - 2) + (x.shape[-1],))
+        return T.reshape(self.table.rows(langs),
+                         (x.shape[0],) + (1,) * (x.ndim - 2) + (x.shape[-1],))
 
     def inject_seq(self, x: Tensor, langs) -> Tensor:
         """Inject into a B×T×W sequence, or a B×C×T×F tensor (the post site).

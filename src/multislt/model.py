@@ -86,10 +86,11 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def encoder_length(t: int, concat_at_pre: bool = False) -> int:
-    """Ceil-halving twice; concat-at-pre prepends one frame first."""
+def encoder_length(t, concat_at_pre: bool = False):
+    """Ceil-halving twice, of an int or an array of lengths; concat-at-pre
+    prepends one frame first."""
     if concat_at_pre:
-        t += 1
+        t = t + 1
     return ceil_div(ceil_div(t, 2), 2)
 
 
@@ -301,6 +302,10 @@ class SpeechTransformer(Module):
         langs = [langs] * batch if isinstance(langs, str) else list(langs)
         if len(langs) != batch:
             raise ValueError(f"got {len(langs)} languages for batch of {batch}")
+        unknown = sorted(set(langs) - set(self.cfg.languages))
+        if unknown:
+            raise ValueError(f"target language(s) {unknown} not among the model's "
+                             f"languages {list(self.cfg.languages)}")
         return langs
 
     def encode(self, features, lengths, langs=None) -> EncoderState:
@@ -322,7 +327,7 @@ class SpeechTransformer(Module):
             lengths = lengths + grew
         enc = self.encoder
         h = enc.front2(enc.front1(T.reshape(x, (B, 1) + x.shape[1:])))
-        lengths = ceil_div_lengths(ceil_div_lengths(lengths, 2), 2)
+        lengths = encoder_length(lengths)
         mask = lengths_to_mask(lengths, h.shape[2])
         pen = distance_penalty(h.shape[2])
         h = enc.sa2d1(h, mask, pen)
@@ -363,7 +368,3 @@ class SpeechTransformer(Module):
         for layer in dec.layers:
             h = layer(h, enc.memory, causal, cross)
         return dec.out_proj(h)
-
-
-def ceil_div_lengths(lengths: np.ndarray, s: int) -> np.ndarray:
-    return -(-lengths // s)

@@ -19,6 +19,8 @@ from .manifest import ManifestEntry, write_manifest
 N_FEAT = 40
 FRAMES_PER_TOKEN = 8
 SOURCE_LETTERS = "abcdefghijklmnopqrst"  # token_vocab <= 20 by default
+LEN_RANGE = (3, 10)     # tokens per utterance, inclusive
+SPLITS = (0.9, 0.05)    # train and dev shares; the rest is test
 
 # Disjoint codepoint ranges; "en" (ASR rows) uses the lowercase source letters.
 _ALPHABET_STARTS = [0x41, 0x3B1, 0x430, 0x5D0, 0x391, 0x410]
@@ -55,11 +57,8 @@ def default_languages(n: int, token_vocab: int = 20) -> list[SyntheticLanguage]:
     return langs
 
 
-def alphabet_map(languages: list[SyntheticLanguage], with_asr: bool = False) -> dict[str, set[str]]:
-    m = {l.lang_id: set(l.alphabet) for l in languages}
-    if with_asr:
-        m["en"] = set(SOURCE_LETTERS)
-    return m
+def alphabet_map(languages: list[SyntheticLanguage]) -> dict[str, set[str]]:
+    return {l.lang_id: set(l.alphabet) for l in languages}
 
 
 def token_patterns(seed: int, token_vocab: int = 20) -> np.ndarray:
@@ -86,8 +85,7 @@ def oracle_decode(frames: np.ndarray, patterns: np.ndarray) -> list[int]:
 
 def synth_dataset(out_dir: str, seed: int, n_utt_per_lang: int,
                   languages: list[SyntheticLanguage], token_vocab: int = 20,
-                  len_range: tuple[int, int] = (3, 10), noise_sigma: float = 0.05,
-                  splits: tuple[float, float] = (0.9, 0.05)):
+                  noise_sigma: float = 0.05):
     """Write manifest.tsv and data.feats(+.idx); byte-identical per seed.
 
     Returns (manifest_path, entries). Split tags: first 90% train, then 5%
@@ -98,11 +96,11 @@ def synth_dataset(out_dir: str, seed: int, n_utt_per_lang: int,
     rng = np.random.default_rng((seed, 1))
     entries: list[ManifestEntry] = []
     sequences: list[FeatureSequence] = []
-    n_train = int(n_utt_per_lang * splits[0])
-    n_dev = int(n_utt_per_lang * splits[1])
+    n_train = int(n_utt_per_lang * SPLITS[0])
+    n_dev = int(n_utt_per_lang * SPLITS[1])
     for lang in languages:
         for i in range(n_utt_per_lang):
-            length = int(rng.integers(len_range[0], len_range[1] + 1))
+            length = int(rng.integers(LEN_RANGE[0], LEN_RANGE[1] + 1))
             tokens = [int(t) for t in rng.integers(0, token_vocab, length)]
             frames = render_audio(tokens, patterns, noise_sigma, rng)
             utt_id = f"{lang.lang_id}_{i:06d}"

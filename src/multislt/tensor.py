@@ -47,13 +47,13 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
     def _accumulate(self, g: np.ndarray):
+        # Constants (inputs, masks, attention biases) keep no gradient.
+        if not self.requires_grad:
+            return
         # The first gradient is copied, never stored: backward closures pass
         # arrays on (add's ``g``) that other nodes also hold. The copy takes
         # ``data``'s memory layout, as zeros_like did, so later reductions
@@ -118,8 +118,8 @@ def as_tensor(x) -> Tensor:
 
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad or p._prev for p in parents):
-        out.requires_grad = any(p.requires_grad for p in parents)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._prev = tuple(parents)
         out._backward = backward
     return out
@@ -436,11 +436,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1)) -> Tensor:
         # GEMM per utterance on their transposed view, summed over the batch;
         # tensordot over (batch, positions) would copy them first.
         gw = np.matmul(g2, patches().transpose(0, 2, 1)).sum(axis=0)
-        gcols = np.matmul(w2.T, g2).reshape(B, C, 9, Ho, Wo)
-        gxp = np.zeros_like(xp)
-        for k, (si, sj) in enumerate(taps):  # col2im
-            gxp[:, :, si, sj] += gcols[:, :, k]
-        x._accumulate(gxp[:, :, 1:1 + H, 1:1 + W])
+        if x.requires_grad:  # not for the input features of an unforced model
+            gcols = np.matmul(w2.T, g2).reshape(B, C, 9, Ho, Wo)
+            gxp = np.zeros_like(xp)
+            for k, (si, sj) in enumerate(taps):  # col2im
+                gxp[:, :, si, sj] += gcols[:, :, k]
+            x._accumulate(gxp[:, :, 1:1 + H, 1:1 + W])
         weight._accumulate(gw.reshape(weight.shape))
         bias._accumulate(g.sum(axis=(0, 2, 3)))
 

@@ -315,27 +315,15 @@ def transfer_encoder(ckpt_path: str, model: SpeechTransformer) -> int:
     number of copied tensors. Idempotent.
     """
     _, tensors = read_checkpoint(ckpt_path)
-    own_params = dict(model.named_parameters())
-    own_bufs = dict(model.named_buffers())
-    copied = 0
-    for (name, kind), arr in tensors.items():
-        if not name.startswith("encoder.") or kind not in ("param", "buffer"):
-            continue
-        if kind == "param":
-            if name not in own_params:
-                raise CheckpointError(f"encoder parameter {name!r} missing from model")
-            if own_params[name].shape != arr.shape:
-                raise CheckpointError(f"shape mismatch for {name!r}: model "
-                                      f"{own_params[name].shape} vs checkpoint {arr.shape}")
-            own_params[name].data = arr.copy()
-        else:
-            if name not in own_bufs or own_bufs[name].shape != arr.shape:
-                raise CheckpointError(f"encoder buffer {name!r} missing or mismatched")
-            own_bufs[name][...] = arr
-        copied += 1
-    if copied == 0:
+    encoder = {name: arr for (name, kind), arr in tensors.items()
+               if name.startswith("encoder.") and kind in ("param", "buffer")}
+    if not encoder:
         raise CheckpointError(f"{ckpt_path}: no encoder tensors found")
-    return copied
+    try:
+        model.load_state_dict({**model.state_dict(), **encoder})
+    except (KeyError, ValueError) as e:
+        raise CheckpointError(f"{ckpt_path}: {e}") from e
+    return len(encoder)
 
 
 def train_model(cfg: ModelConfig, examples: list[Example], seed: int,

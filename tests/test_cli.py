@@ -6,7 +6,7 @@ import pytest
 
 from multislt.audio import write_wav
 from multislt.cli import build_parser, main, resolve_run_config
-from multislt.manifest import read_manifest
+from multislt.manifest import ManifestEntry, read_manifest, write_manifest
 from multislt.trainer import read_checkpoint
 
 
@@ -130,6 +130,23 @@ def test_translate_missing_checkpoint_exits_1_no_output(dataset, tmp_path):
                  "--manifest", os.path.join(dataset, "manifest.tsv"),
                  "--out", out])
     assert code == 1
+    assert not os.path.exists(out)
+
+
+def test_translate_unknown_target_language_exits_1_no_output(dataset, tmp_path, capsys):
+    code, ckpt, _ = _train(dataset, tmp_path, "--forcing", "merge", "--site", "pre")
+    assert code == 0
+    entries = [ManifestEntry(os.path.join(dataset, e.audio_path), e.transcript, e.target_text,
+                             "L7" if e.split == "test" else e.lang, e.split)
+               for e in read_manifest(os.path.join(dataset, "manifest.tsv"))]
+    manifest = str(tmp_path / "l7.tsv")
+    write_manifest(manifest, entries)
+    out = str(tmp_path / "hyp.tsv")
+    capsys.readouterr()
+    assert main(["translate", "--checkpoint", ckpt, "--manifest", manifest,
+                 "--out", out, "--max-len", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "L7" in err and "L0" in err
     assert not os.path.exists(out)
 
 

@@ -3,8 +3,12 @@ import pytest
 
 import multislt.tensor as T
 from multislt.forcing import LanguageEmbeddingTable, apply_concat, apply_merge
+from multislt.manifest import BOS_ID, Vocabulary
 from multislt.model import ModelConfig, SpeechTransformer, encoder_length
-from multislt.tensor import ShapeError, Tensor
+from multislt.optim import AdamState
+from multislt.tensor import ShapeError, Tensor, grad_check
+from multislt.trainer import (Example, LRSchedule, batch_loss, load_checkpoint,
+                              make_batch, save_checkpoint, train_step)
 
 
 def test_apply_concat_prepends_row():
@@ -91,8 +95,8 @@ def test_table_distinct_vectors_and_unknown_language():
         table.vector("fr")
 
 
-def _model(mode, site, seed=0, **kw):
-    cfg = ModelConfig(vocab_size=12, languages=("L0", "L1"), d_model=16,
+def _model(mode, site, seed=0, languages=("L0", "L1"), **kw):
+    cfg = ModelConfig(vocab_size=12, languages=languages, d_model=16,
                       ff_hidden=32, n_heads=2, n_encoder_layers=1,
                       n_decoder_layers=1, forcing_mode=mode, forcing_site=site, **kw)
     return SpeechTransformer(cfg, seed=seed).eval()
@@ -163,8 +167,6 @@ def test_decoder_concat_replaces_bos_slot():
 @pytest.mark.parametrize("mode,site", [("merge", "pre"), ("concat", "post"),
                                        ("merge", "decoder")])
 def test_gradient_isolation_per_language(mode, site):
-    from multislt.optim import AdamState
-    from multislt.trainer import Example, LRSchedule, make_batch, train_step
     m = _model(mode, site, seed=17).train()
     m.set_rng(np.random.default_rng(18))
     rng = np.random.default_rng(19)
@@ -177,3 +179,41 @@ def test_gradient_isolation_per_language(mode, site):
     after = {lang: m.forcing.table.vector(lang).data for lang in ("L0", "L1")}
     assert not np.array_equal(before["L0"], after["L0"])
     np.testing.assert_array_equal(before["L1"], after["L1"])
+
+
+@pytest.mark.parametrize("mode,site", [("merge", "pre"), ("concat", "decoder")])
+def test_table_lookup_gradient_matches_finite_differences(mode, site):
+    m = _model(mode, site, seed=24, languages=("L0", "L1", "L2"))
+    rng = np.random.default_rng(25)
+    # L0 repeats and L1 is absent
+    batch = make_batch([Example(f"u{i}", rng.normal(size=(14 - 2 * i, 40)),
+                                [4, 5, 6][:i + 1], lang)
+                        for i, lang in enumerate(["L0", "L2", "L0"])])
+    weight = m.forcing.table.weight
+    batch_loss(m, batch).backward()
+    assert np.all(weight.grad[1] == 0.0) and np.abs(weight.grad[[0, 2]]).max() > 0
+    err = grad_check(lambda w: batch_loss(m, batch), weight, sample=40,
+                     rng=np.random.default_rng(26))
+    assert err <= 1e-4
+
+
+def test_language_tags_are_not_attribute_names(tmp_path):
+    from multislt.decoding import greedy_decode
+    tags = ("train", "eval", "set_rng", "width")
+    m = _model("merge", "pre", seed=27, languages=tags)
+    assert [n for n, _ in m.named_parameters()
+            if n.startswith("forcing.")] == ["forcing.table.weight"]
+    assert not set(tags) & set(vars(m.forcing.table))
+    m.set_rng(np.random.default_rng(28)).eval().train()
+    rng = np.random.default_rng(29)
+    batch = make_batch([Example(f"u{i}", rng.normal(size=(16, 40)), [4, 5], tags[i % 4])
+                        for i in range(8)])
+    train_step(m, [batch], AdamState(), LRSchedule(lr_max=0.001, warmup=10))
+    vocab = Vocabulary("abcdefgh")
+    hyp = greedy_decode(m.eval(), vocab, rng.normal(size=(16, 40)), "width", max_len=5)
+    assert hyp.ids[0] == BOS_ID and len(hyp.ids) <= 6
+    p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+    save_checkpoint(p1, m, vocab)
+    m2, vocab2, _ = load_checkpoint(p1)
+    save_checkpoint(p2, m2, vocab2)
+    assert open(p1, "rb").read() == open(p2, "rb").read()

@@ -315,6 +315,14 @@ def test_first_gradient_is_a_private_copy():
     np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
 
 
+def test_constants_get_no_gradient():
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    c = Tensor(np.array([3.0, 0.5]))
+    T.tsum(T.mul(p, c)).backward()
+    assert c.grad is None
+    np.testing.assert_array_equal(p.grad, c.data)
+
+
 def test_forward_outputs_finite_on_finite_input():
     rng = np.random.default_rng(14)
     x = Tensor(rng.normal(scale=100.0, size=(4, 8)))
