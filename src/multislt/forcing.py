@@ -88,8 +88,14 @@ class TargetForcing(Module):
 
     inject_4d = inject_seq  # the post site's name for the same injection
 
-    def inject_decoder(self, emb: Tensor, langs) -> Tensor:
-        """Merge adds to every character embedding; concat replaces bos."""
+    def inject_decoder(self, emb: Tensor, langs, start: int = 0) -> Tensor:
+        """Merge adds to every character embedding; concat replaces bos.
+
+        ``emb`` holds prefix positions ``start``.. (a cached decoder step):
+        concat then changes nothing unless it includes position 0.
+        """
+        if self.mode == "concat" and start > 0:
+            return emb
         l = self._vectors(emb, langs)
         if self.mode == "merge":
             return apply_merge(emb, l)

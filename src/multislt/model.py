@@ -123,6 +123,30 @@ def _key_bias(mask: np.ndarray) -> np.ndarray:
     return np.where(mask, 0.0, NEG_INF)[:, None, None, :]
 
 
+class KVCache:
+    """Keys and values of one attention block, B×H×T×d_head Tensors.
+
+    Self-attention caches ``grow``: each call appends the new positions'
+    keys and values. Cross-attention caches project the encoder memory on
+    their first call and reuse it after.
+    """
+
+    def __init__(self, grow: bool):
+        self.grow = grow
+        self.k = self.v = None
+
+    def append(self, k: Tensor, v: Tensor):
+        if self.k is not None:
+            k, v = T.concat([self.k, k], axis=2), T.concat([self.v, v], axis=2)
+        self.k, self.v = k, v
+        return k, v
+
+    def select(self, rows):
+        # a memory of batch 1 serves every row, so it is not gathered
+        if self.k is not None and (self.grow or self.k.shape[0] > 1):
+            self.k, self.v = T.getitem(self.k, rows), T.getitem(self.v, rows)
+
+
 class MultiHeadAttention(Module):
     def __init__(self, d_model: int, n_heads: int, rng):
         super().__init__()
@@ -133,17 +157,23 @@ class MultiHeadAttention(Module):
         self.wv = Linear(d_model, d_model, rng)
         self.wo = Linear(d_model, d_model, rng)
 
-    def __call__(self, query: Tensor, kv: Tensor, bias: np.ndarray | None = None) -> Tensor:
+    def __call__(self, query: Tensor, kv: Tensor, bias: np.ndarray | None = None,
+                 cache: KVCache | None = None) -> Tensor:
+        """``kv`` of batch 1 serves every query row. With a ``cache``, keys
+        and values come from it as well (see ``KVCache``)."""
         B, Tq, d = query.shape
-        Tk = kv.shape[1]
 
-        def split(x, length):
-            x = T.reshape(x, (B, length, self.n_heads, self.d_head))
+        def split(x):
+            x = T.reshape(x, x.shape[:2] + (self.n_heads, self.d_head))
             return T.transpose(x, (0, 2, 1, 3))
 
-        q = split(self.wq(query), Tq)
-        k = split(self.wk(kv), Tk)
-        v = split(self.wv(kv), Tk)
+        q = split(self.wq(query))
+        if cache is not None and cache.k is not None and not cache.grow:
+            k, v = cache.k, cache.v
+        else:
+            k, v = split(self.wk(kv)), split(self.wv(kv))
+            if cache is not None:
+                k, v = cache.append(k, v)
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), self.d_head ** -0.5)
         if bias is not None:
             scores = T.add(scores, Tensor(bias))
@@ -194,9 +224,10 @@ class DecoderLayer(Module):
         self.drop3 = Dropout(cfg.dropout)
 
     def __call__(self, x: Tensor, memory: Tensor, causal_bias: np.ndarray,
-                 cross_bias: np.ndarray) -> Tensor:
-        x = self.ln1(T.add(x, self.drop1(self.self_attn(x, x, causal_bias))))
-        x = self.ln2(T.add(x, self.drop2(self.cross_attn(x, memory, cross_bias))))
+                 cross_bias: np.ndarray, cache: tuple[KVCache, KVCache] | None = None) -> Tensor:
+        self_kv, cross_kv = (None, None) if cache is None else cache
+        x = self.ln1(T.add(x, self.drop1(self.self_attn(x, x, causal_bias, cache=self_kv))))
+        x = self.ln2(T.add(x, self.drop2(self.cross_attn(x, memory, cross_bias, cache=cross_kv))))
         return self.ln3(T.add(x, self.drop3(self.ff(x))))
 
 
@@ -350,21 +381,75 @@ class SpeechTransformer(Module):
             h = layer(h, bias)
         return EncoderState(h, mask)
 
-    def decode_logits(self, enc: EncoderState, prefix_ids: np.ndarray, langs=None) -> Tensor:
-        """Teacher-forced logits, B×L×V, for bos-initial prefixes."""
+    def decode_logits(self, enc: EncoderState, prefix_ids: np.ndarray, langs=None,
+                      cache: DecoderCache | None = None) -> Tensor:
+        """Teacher-forced logits, B×L×V, for bos-initial prefixes.
+
+        ``enc`` may hold one utterance for all B prefixes. With a ``cache``
+        (see ``DecoderCache``) only the positions past the cached ones run,
+        and the logits are B×(L - cached)×V.
+        """
         ids = np.asarray(prefix_ids, dtype=np.int64)
         if ids.ndim == 1:
             ids = ids[None]
         B, L = ids.shape
         langs = self._langs(langs, B)
         dec = self.decoder
-        emb = dec.embed(ids)
+        start, kvs = 0, [None] * len(dec.layers)
+        if cache is not None:
+            start, kvs = cache.begin(ids, len(dec.layers))
+        emb = dec.embed(ids[:, start:])
         if self.forcing is not None and self.cfg.forcing_site == "decoder":
-            emb = self.forcing.inject_decoder(emb, langs)
-        h = T.add(emb, Tensor(positional_encoding(L, self.cfg.d_model)))
+            emb = self.forcing.inject_decoder(emb, langs, start)
+        h = T.add(emb, Tensor(positional_encoding(L, self.cfg.d_model)[start:]))
         h = dec.pe_drop(h)
-        causal = np.where(np.triu(np.ones((L, L)), k=1) > 0, NEG_INF, 0.0)
+        causal = np.where(np.triu(np.ones((L, L)), k=1) > 0, NEG_INF, 0.0)[start:]
         cross = _key_bias(enc.mask)
-        for layer in dec.layers:
-            h = layer(h, enc.memory, causal, cross)
+        for layer, kv in zip(dec.layers, kvs):
+            h = layer(h, enc.memory, causal, cross, cache=kv)
+        if cache is not None:
+            cache.ids = ids
         return dec.out_proj(h)
+
+
+class DecoderCache:
+    """What the decoder has computed for B prefixes of one encoder state:
+    their ids and, per decoder layer, the self-attention keys and values of
+    every position plus the cross-attention keys and values of the memory.
+
+    ``decode_logits(enc, ids, cache=cache)`` takes the full prefixes, runs
+    only the positions past the cached ones and caches those. ``select``
+    keeps, in order and possibly repeated, the rows a search continues. A
+    memory of batch 1 serves every row; a memory with one row per prefix
+    must be gathered by the same rows before the next call.
+    """
+
+    def __init__(self):
+        self.ids = None
+        self.layers = []
+
+    def begin(self, ids: np.ndarray, n_layers: int):
+        """The number of cached positions of ``ids`` and the per-layer caches.
+
+        ``ids`` must extend every cached prefix by at least one position.
+        """
+        if self.ids is not None:
+            n = self.ids.shape[1]
+            if ids.shape[0] != self.ids.shape[0]:
+                raise ValueError(f"cache holds {self.ids.shape[0]} prefixes, got {ids.shape[0]}")
+            if ids.shape[1] <= n:
+                raise ValueError(f"prefix length {ids.shape[1]} adds nothing to the "
+                                 f"{n} cached positions")
+            if not np.array_equal(ids[:, :n], self.ids):
+                raise ValueError("prefixes do not extend the cached ones")
+        if not self.layers:
+            self.layers = [(KVCache(grow=True), KVCache(grow=False)) for _ in range(n_layers)]
+        return (0 if self.ids is None else self.ids.shape[1]), self.layers
+
+    def select(self, rows):
+        """Keep rows ``rows`` (e.g. a beam's surviving parents), in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.ids = self.ids[rows]
+        for kvs in self.layers:
+            for kv in kvs:
+                kv.select(rows)

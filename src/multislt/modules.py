@@ -70,6 +70,8 @@ class Module:
         return d
 
     def load_state_dict(self, d: dict[str, np.ndarray]):
+        """Copy every entry in, or raise and change nothing: all names and
+        shapes are checked before the first assignment."""
         own = {name: p for name, p in self.named_parameters()}
         bufs = dict(self.named_buffers())
         for name, arr in d.items():
@@ -77,16 +79,19 @@ class Module:
                 if own[name].shape != arr.shape:
                     raise ValueError(f"shape mismatch for {name!r}: "
                                      f"{own[name].shape} vs {arr.shape}")
-                own[name].data = arr.astype(np.float64).copy()
             elif name in bufs:
                 if bufs[name].shape != arr.shape:
                     raise ValueError(f"shape mismatch for buffer {name!r}")
-                bufs[name][...] = arr
             else:
                 raise KeyError(f"unexpected entry {name!r} in state dict")
         missing = (set(own) | set(bufs)) - set(d)
         if missing:
             raise KeyError(f"state dict missing entries: {sorted(missing)}")
+        for name, arr in d.items():
+            if name in own:
+                own[name].data = arr.astype(np.float64).copy()
+            else:
+                bufs[name][...] = arr
 
 
 class ModuleList(Module):

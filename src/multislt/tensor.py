@@ -3,9 +3,13 @@
 Every differentiable operation builds a node in a DAG; ``Tensor.backward()``
 walks the graph once in reverse topological order and accumulates gradients.
 All arithmetic is 64-bit so finite-difference checks are meaningful.
+Inside ``no_grad()`` ops build no nodes, which is how inference runs.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -116,9 +120,32 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _GradMode(threading.local):
+    enabled = True  # each thread starts with recording on
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Inference mode for the calling thread: ops record no graph.
+
+    Inside the block every op returns a constant (no parents, no
+    ``requires_grad``), so nothing is kept for a backward pass. Other
+    threads keep recording; the previous mode is restored on exit.
+    """
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = prev
+
+
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._prev = tuple(parents)
         out._backward = backward

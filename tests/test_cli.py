@@ -150,6 +150,20 @@ def test_translate_unknown_target_language_exits_1_no_output(dataset, tmp_path, 
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("beam", ["0", "-1"])
+def test_translate_bad_beam_exits_1_no_output(dataset, tmp_path, capsys, beam):
+    code, ckpt, _ = _train(dataset, tmp_path)
+    assert code == 0
+    out = str(tmp_path / "hyp.tsv")
+    capsys.readouterr()
+    assert main(["translate", "--checkpoint", ckpt, "--manifest",
+                 os.path.join(dataset, "manifest.tsv"), "--out", out, "--beam", beam,
+                 "--max-len", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "beam" in err and beam in err
+    assert not os.path.exists(out)
+
+
 def test_asr_pretrain_then_transfer_and_mix(dataset, tmp_path):
     manifest = os.path.join(dataset, "manifest.tsv")
     asr = str(tmp_path / "asr.ckpt")

@@ -99,3 +99,14 @@ def test_beam_hypotheses_end_in_eos_or_reach_max_len():
             assert len(hyp.ids) == 11  # bos + max_len
         else:
             assert hyp.ids[-1] == EOS_ID
+
+
+@pytest.mark.parametrize("kwargs", [{"beam": 0, "max_len": 3}, {"beam": -1, "max_len": 3},
+                                    {"max_len": 0}])
+def test_nonsense_search_settings_rejected(kwargs):
+    m = _model()
+    feats = np.zeros((8, 40))
+    with pytest.raises(ValueError, match="at least 1"):
+        beam_decode(m, VOCAB, feats, **kwargs)
+    with pytest.raises(ValueError, match="at least 1"):
+        decode_corpus(m, VOCAB, [], **kwargs)

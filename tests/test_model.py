@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import multislt.tensor as T
-from multislt.model import (ModelConfig, SpeechTransformer, distance_penalty,
-                            encoder_length, positional_encoding)
+from multislt.manifest import BOS_ID
+from multislt.model import (DecoderCache, EncoderState, ModelConfig, SpeechTransformer,
+                            distance_penalty, encoder_length, positional_encoding)
 from multislt.tensor import Tensor, grad_check
 
 
@@ -242,6 +243,70 @@ def test_autoregressive_consistency():
     logits = m.decode_logits(enc, np.array([hyp.ids[:-1]])).data[0]
     steps = np.argmax(logits, axis=1)
     np.testing.assert_array_equal(steps, hyp.ids[1:])
+
+
+# incremental decoding ----------------------------------------------------
+
+FORCINGS = [("none", "pre")] + [(mode, site) for mode in ("merge", "concat")
+                                for site in ("pre", "post", "final", "decoder")]
+
+
+def _rows(enc: EncoderState, rows) -> EncoderState:
+    return EncoderState(Tensor(enc.memory.data[rows]), enc.mask[rows])
+
+
+@pytest.mark.parametrize("shared_memory", [True, False], ids=["one_utterance", "per_row"])
+@pytest.mark.parametrize("mode,site", FORCINGS)
+def test_cached_decoding_matches_full_prefix(mode, site, shared_memory):
+    """One token per cached call, with a beam reorder, equals the full-prefix
+    call on the same rows; a memory of batch 1 serves all rows."""
+    m = make_model(seed=21, forcing_mode=mode, forcing_site=site,
+                   languages=("L0", "L1") if mode != "none" else ())
+    rng = np.random.default_rng(22)
+    if shared_memory:
+        langs = None if mode == "none" else "L1"
+        enc = m.encode(rng.normal(size=(1, 20, 40)), [20], langs)
+        full_enc = _rows(enc, [0, 0, 0])  # the oracle sees each row's own memory
+    else:
+        langs = None if mode == "none" else ["L0", "L1", "L0"]
+        enc = full_enc = m.encode(rng.normal(size=(3, 20, 40)), [20, 14, 17], langs)
+    ids = rng.integers(3, 12, size=(3, 7))
+    ids[:, 0] = BOS_ID
+    cache = DecoderCache()
+    with T.no_grad():
+        for L in range(1, ids.shape[1] + 1):
+            if L == 4:  # the beam keeps row 2 and two continuations of row 0
+                rows = [2, 0, 0]
+                cache.select(rows)
+                ids = ids[rows]
+                if not shared_memory:  # per-row memories follow their rows
+                    enc = full_enc = _rows(full_enc, rows)
+                    langs = [langs[r] for r in rows] if langs is not None else None
+                ids[1:, 3] = [5, 9]
+            got = m.decode_logits(enc, ids[:, :L], langs, cache=cache).data
+            want = m.decode_logits(full_enc, ids[:, :L], langs).data[:, -1:]
+            assert got.shape == want.shape == (3, 1, 12)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_cache_rejects_prefixes_it_does_not_extend():
+    m = make_model(seed=23)
+    enc = m.encode(np.random.default_rng(24).normal(size=(1, 16, 40)), [16])
+    ids = np.array([[BOS_ID, 4, 5, 6], [BOS_ID, 7, 8, 9]])
+    cache = DecoderCache()
+    m.decode_logits(enc, ids[:, :3], cache=cache)
+    for stale in (ids[:, :2], ids[:, :3]):  # shorter than, or as long as, the cache
+        with pytest.raises(ValueError, match="cached positions"):
+            m.decode_logits(enc, stale, cache=cache)
+    other = ids.copy()
+    other[0, 1] = 9
+    with pytest.raises(ValueError, match="do not extend"):
+        m.decode_logits(enc, other, cache=cache)
+    with pytest.raises(ValueError, match="holds 2 prefixes"):
+        m.decode_logits(enc, ids[:1], cache=cache)
+    # the failed calls left the cache as it was
+    got = m.decode_logits(enc, ids, cache=cache).data
+    np.testing.assert_allclose(got, m.decode_logits(enc, ids).data[:, 3:], rtol=0, atol=1e-12)
 
 
 def test_config_validation():

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -321,6 +323,51 @@ def test_constants_get_no_gradient():
     T.tsum(T.mul(p, c)).backward()
     assert c.grad is None
     np.testing.assert_array_equal(p.grad, c.data)
+
+
+def test_no_grad_records_no_graph():
+    p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    with T.no_grad():
+        outs = [T.add(p, p), T.matmul(T.reshape(p, (1, 3)), T.reshape(p, (3, 1))),
+                T.softmax(p), T.relu(p), T.concat([p, p]), T.tsum(p)]
+    for out in outs:
+        assert not out.requires_grad and out._prev == () and out._backward is None
+    # parameters still get gradients after the block
+    T.tsum(T.mul(p, p)).backward()
+    np.testing.assert_array_equal(p.grad, 2.0 * p.data)
+
+
+def test_no_grad_restored_after_exception():
+    p = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            with T.no_grad():  # nested blocks restore the outer mode
+                pass
+            assert not T.add(p, p).requires_grad
+            raise RuntimeError("boom")
+    assert T.add(p, p).requires_grad
+
+
+def test_no_grad_is_per_thread():
+    inside, done = threading.Event(), threading.Event()
+    grads = []
+
+    def other_thread():
+        inside.wait(timeout=30)
+        q = Tensor(np.array([0.5, 4.0]), requires_grad=True)
+        T.tsum(T.mul(q, q)).backward()
+        grads.append(q.grad)
+        done.set()
+
+    worker = threading.Thread(target=other_thread, daemon=True)
+    worker.start()
+    with T.no_grad():
+        inside.set()
+        assert done.wait(timeout=30)
+        assert not T.scale(Tensor(np.ones(2), requires_grad=True), 2.0).requires_grad
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    np.testing.assert_array_equal(grads[0], [1.0, 8.0])
 
 
 def test_forward_outputs_finite_on_finite_input():

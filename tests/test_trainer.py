@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,23 @@ def test_transfer_shape_mismatch_names_parameter(tmp_path):
     dst = SpeechTransformer(cfg, seed=1)
     with pytest.raises(CheckpointError, match="encoder\\."):
         transfer_encoder(path, dst)
+
+
+def test_failed_transfer_leaves_model_untouched(tmp_path):
+    src = _ckpt_model()  # d_model 16
+    path = str(tmp_path / "asr.ckpt")
+    save_checkpoint(path, src, Vocabulary("abcde"))
+    cfg = ModelConfig(vocab_size=9, d_model=32, ff_hidden=32, n_heads=2,
+                      n_encoder_layers=1, n_decoder_layers=1)
+    dst = SpeechTransformer(cfg, seed=1)
+
+    def digests():
+        return {n: hashlib.sha256(a.tobytes()).hexdigest() for n, a in dst.state_dict().items()}
+
+    before = digests()
+    with pytest.raises(CheckpointError):
+        transfer_encoder(path, dst)
+    assert digests() == before
 
 
 def test_encoder_decoder_prefixes_partition_base_model():
