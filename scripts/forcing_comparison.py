@@ -38,7 +38,7 @@ def main(argv=None):
             work_dir, seed=args.seed, n_languages=args.languages,
             n_utt_per_lang=args.n_utt, steps=args.steps, accum=1,
             warmup=args.warmup, lr_max=args.lr_max, forcing_mode=mode,
-            forcing_site=site, eval_split="dev", workers=1)
+            forcing_site=site, eval_split="dev")
         last, audit = result["losses"][-1], result["audit"]
         results[f"{mode}-{site}"] = {"final_loss": round(last, 4),
                                      "audit": {k: round(v, 3)

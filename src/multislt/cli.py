@@ -226,7 +226,8 @@ def cmd_evaluate(args) -> int:
                        for lang, (hs, rs) in sorted(by_lang.items())}}
     out = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        open(args.out, "w", encoding="utf-8").write(out + "\n")
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(out + "\n")
     print(out)
     return 0
 
@@ -239,7 +240,8 @@ def cmd_audit(args) -> int:
     report = {"language_accuracy": {k: acc[k] for k in sorted(acc)}}
     out = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        open(args.out, "w", encoding="utf-8").write(out + "\n")
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(out + "\n")
     print(out)
     return 0
 

@@ -34,7 +34,7 @@ def run_toy_experiment(work_dir: str, seed: int = 17, n_languages: int = 3,
                        lr_max: float = DESK_RECIPE["lr_max"],
                        forcing_mode: str = "merge", forcing_site: str = "pre",
                        eval_split: str = "test", max_eval: int | None = None,
-                       checkpoint: str | None = None, workers: int = 4,
+                       checkpoint: str | None = None,
                        verbose: bool = False) -> dict:
     """Train on the synthetic task and measure the outcome.
 
@@ -63,8 +63,7 @@ def run_toy_experiment(work_dir: str, seed: int = 17, n_languages: int = 3,
     held = load_examples(entries, vocab, base_dir=data_dir, split=eval_split)
     if max_eval is not None:
         held = held[:max_eval]
-    hyps = decode_corpus(model, vocab, [(ex.features, ex.lang) for ex in held],
-                         max_len=14, workers=workers)
+    hyps = decode_corpus(model, vocab, [(ex.features, ex.lang) for ex in held], max_len=14)
     audit = language_audit([(ex.lang, h.text) for ex, h in zip(held, hyps)],
                            target_alphabets(entries))
     acc = token_accuracy([h.text for h in hyps],

@@ -246,10 +246,12 @@ class ConvBlock(Module):
 class SA2D(Module):
     """2D self-attention: per-channel attention along time and frequency.
 
-    Q/K/V come from parallel 3×3 convolutions; time-axis attention carries
-    the distance penalty (configurable), frequency-axis attention does not.
-    The 2c outputs are concatenated on the channel axis and passed through
-    a final conv block.
+    Q/K/V are three conv blocks over the same input, run as one: their
+    convs, ReLUs and batch norms are concatenated into one 3c-channel conv
+    block, so the input's patches are built once, and the result is sliced
+    into q, k and v. Time-axis attention carries the distance penalty
+    (configurable), frequency-axis attention does not. The 2c outputs are
+    concatenated on the channel axis and passed through a final conv block.
     """
 
     def __init__(self, cfg: ModelConfig, c_in: int, rng):
@@ -262,8 +264,31 @@ class SA2D(Module):
         self.v = ConvBlock(c_in, c, (1, 1), rng)
         self.out = ConvBlock(2 * c, cfg.sa2d_out_channels, (1, 1), rng)
 
+    def _qkv(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """``self.q(x), self.k(x), self.v(x)``, from one conv and one batch norm.
+
+        Batch norm is per channel, so over the 3c channels it computes each
+        block's own statistics; training writes the updated running
+        statistics back into each block.
+        """
+        convs = [b.conv for b in (self.q, self.k, self.v)]
+        bns = [b.bn for b in (self.q, self.k, self.v)]
+        h = T.conv2d(x, T.concat([m.weight for m in convs]), T.concat([m.bias for m in convs]))
+        mean = np.concatenate([bn.running_mean for bn in bns])
+        var = np.concatenate([bn.running_var for bn in bns])
+        h = T.batch_norm(T.relu(h), T.concat([bn.gamma for bn in bns]),
+                         T.concat([bn.beta for bn in bns]), self.training, mean, var,
+                         momentum=bns[0].momentum, eps=bns[0].eps)
+        c = h.shape[1] // 3
+        parts = [slice(i * c, (i + 1) * c) for i in range(3)]
+        if self.training:
+            for bn, part in zip(bns, parts):
+                bn.running_mean[...] = mean[part]
+                bn.running_var[...] = var[part]
+        return tuple(T.getitem(h, (slice(None), part)) for part in parts)
+
     def __call__(self, x: Tensor, time_mask: np.ndarray, penalty: np.ndarray) -> Tensor:
-        q, k, v = self.q(x), self.k(x), self.v(x)
+        q, k, v = self._qkv(x)
         # time axis: B×c×T×F matrices, keys masked at padding frames
         t_scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), self.scale)
         bias = _key_bias(time_mask)

@@ -75,14 +75,6 @@ def render_audio(tokens: list[int], patterns: np.ndarray,
     return frames
 
 
-def oracle_decode(frames: np.ndarray, patterns: np.ndarray) -> list[int]:
-    """Nearest-pattern matching per 8-frame block; exact at zero noise."""
-    n_tok = frames.shape[0] // FRAMES_PER_TOKEN
-    blocks = frames[:n_tok * FRAMES_PER_TOKEN].reshape(n_tok, FRAMES_PER_TOKEN, -1).mean(axis=1)
-    dists = ((blocks[:, None, :] - patterns[None]) ** 2).sum(axis=2)
-    return [int(t) for t in dists.argmin(axis=1)]
-
-
 def synth_dataset(out_dir: str, seed: int, n_utt_per_lang: int,
                   languages: list[SyntheticLanguage], token_vocab: int = 20,
                   noise_sigma: float = 0.05):

@@ -259,10 +259,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     data = np.transpose(a.data, axes)
-    inv = np.argsort(axes)
 
     def backward(g):
-        a._accumulate(np.transpose(g, inv))
+        a._accumulate(np.transpose(g, np.argsort(axes)))
 
     return _make(data, (a,), backward)
 
@@ -304,10 +303,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def getitem(a: Tensor, idx) -> Tensor:
     data = a.data[idx]
+    # slices select each element at most once; index arrays may repeat one
+    sliced = all(isinstance(i, slice) for i in (idx if isinstance(idx, tuple) else (idx,)))
 
     def backward(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        if sliced:
+            full[idx] = g
+        else:
+            np.add.at(full, idx, g)
         a._accumulate(full)
 
     return _make(data, (a,), backward)
@@ -345,10 +349,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis; gamma/beta broadcast over it."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)  # np.var's steps
+    xhat = xc * inv
     data = xhat * gamma.data + beta.data
 
     def backward(g):
@@ -380,17 +383,18 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, training: bool,
             raise ValueError("batch_norm training mode needs batch size >= 2 "
                              "(variance undefined)")
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xc = x.data - mu.reshape(cshape)
+        var = (xc * xc).mean(axis=axes)  # np.var's steps, reusing the centred input
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         n = x.shape[0] * x.shape[2] * x.shape[3]
         running_var *= 1.0 - momentum
         running_var += momentum * var * n / max(n - 1, 1)
     else:
-        mu = running_mean
+        xc = x.data - running_mean.reshape(cshape)
         var = running_var
     inv = 1.0 / np.sqrt(var + eps).reshape(cshape)
-    xhat = (x.data - mu.reshape(cshape)) * inv
+    xhat = xc * inv
     data = xhat * gamma.data.reshape(cshape) + beta.data.reshape(cshape)
 
     def backward(g):

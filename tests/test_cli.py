@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +124,24 @@ def test_translate_evaluate_audit_round_trip(dataset, tmp_path):
                  "--out", audit]) == 0
     acc = json.load(open(audit))["language_accuracy"]
     assert all(0.0 <= v <= 1.0 for v in acc.values())
+
+
+@pytest.mark.parametrize("command,key", [("evaluate", "bleu"), ("audit", "language_accuracy")])
+def test_report_file_is_closed(dataset, tmp_path, command, key):
+    manifest = os.path.join(dataset, "manifest.tsv")
+    tests = [e for e in read_manifest(manifest) if e.split == "test"]
+    hyp = tmp_path / "hyp.tsv"
+    hyp.write_text("".join(f"{e.utt_id}\t{e.lang}\t{e.lang}\t-1.0\t{e.target_text}\n"
+                           for e in tests), encoding="utf-8")
+    report = tmp_path / "report.json"
+    extra = ["--split", "test"] if command == "evaluate" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--hyp", str(hyp), "--manifest", manifest,
+                     "--out", str(report), *extra]) == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert key in json.loads(report.read_text(encoding="utf-8"))
 
 
 def test_translate_missing_checkpoint_exits_1_no_output(dataset, tmp_path):

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 import multislt.tensor as T
 from multislt.manifest import BOS_ID
-from multislt.model import (DecoderCache, EncoderState, ModelConfig, SpeechTransformer,
-                            distance_penalty, encoder_length, positional_encoding)
+from multislt.model import (SA2D, DecoderCache, EncoderState, ModelConfig, SpeechTransformer,
+                            distance_penalty, encoder_length, lengths_to_mask,
+                            positional_encoding)
 from multislt.tensor import Tensor, grad_check
 
 
@@ -176,6 +177,54 @@ def test_sa2d_preserves_time_and_freq_extent():
     feats = np.random.default_rng(8).normal(size=(2, 32, 40))
     enc = m.encode(feats, [32, 32])
     assert enc.memory.shape[1] == encoder_length(32)
+
+
+def _sa2d_run(c: int, training: bool, three_blocks: bool):
+    """One SA2D forward and backward; the oracle runs q, k and v as three
+    conv blocks, as ``self.q(x), self.k(x), self.v(x)``."""
+    sa = SA2D(tiny_cfg(sa2d_channels=c), 16, np.random.default_rng(c))
+    rng = np.random.default_rng(100 + c)
+    if not training:  # eval mode reads distinct running statistics per channel
+        for _, buf in sa.named_buffers():
+            buf[...] = rng.uniform(0.5, 1.5, buf.shape)
+        sa.eval()
+    if three_blocks:
+        sa._qkv = lambda x: (sa.q(x), sa.k(x), sa.v(x))
+    x = Tensor(rng.normal(size=(3, 16, 9, 6)), requires_grad=True)
+    out = sa(x, lengths_to_mask([9, 7, 4], 9), distance_penalty(9))
+    T.tsum(T.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
+    grads = {name: p.grad for name, p in sa.named_parameters()}
+    buffers = {name: b.copy() for name, b in sa.named_buffers()}
+    return out.data, x.grad, grads, buffers
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("c", [1, 4])
+def test_sa2d_fused_qkv_matches_three_blocks(c, training):
+    out, gx, grads, buffers = _sa2d_run(c, training, three_blocks=False)
+    out0, gx0, grads0, buffers0 = _sa2d_run(c, training, three_blocks=True)
+    np.testing.assert_allclose(out, out0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(gx, gx0, rtol=0, atol=1e-12)
+    assert grads.keys() == grads0.keys() and buffers.keys() == buffers0.keys()
+    for name in grads0:
+        np.testing.assert_allclose(grads[name], grads0[name], rtol=0, atol=1e-12, err_msg=name)
+    for name in buffers0:
+        np.testing.assert_allclose(buffers[name], buffers0[name], rtol=0, atol=1e-12,
+                                   err_msg=name)
+    if training:  # the running statistics did move
+        assert not np.allclose(buffers["q.bn.running_mean"], 0.0)
+
+
+def test_sa2d_parameter_and_buffer_names():
+    sa = SA2D(tiny_cfg(sa2d_channels=4, sa2d_out_channels=16), 16, np.random.default_rng(0))
+    blocks = {"q": 4, "k": 4, "v": 4, "out": 16}
+    c_in = {"q": 16, "k": 16, "v": 16, "out": 8}
+    params = {name: p.shape for name, p in sa.named_parameters()}
+    assert params == {n: s for b, o in blocks.items() for n, s in (
+        (f"{b}.conv.weight", (o, c_in[b], 3, 3)), (f"{b}.conv.bias", (o,)),
+        (f"{b}.bn.gamma", (o,)), (f"{b}.bn.beta", (o,)))}
+    assert [name for name, _ in sa.named_buffers()] == [
+        f"{b}.bn.{s}" for b in blocks for s in ("running_mean", "running_var")]
 
 
 def test_causal_mask_contract():

@@ -3,8 +3,7 @@ import pytest
 
 from multislt import synth
 from multislt.manifest import build_vocab, read_manifest
-from multislt.synth import (default_languages, oracle_decode, render_audio,
-                            synth_dataset, token_patterns)
+from multislt.synth import default_languages, synth_dataset
 
 
 def test_alphabets_pairwise_disjoint():
@@ -65,26 +64,6 @@ def test_split_fractions(tmp_path):
     counts = {s: sum(1 for e in per_lang if e.split == s)
               for s in ("train", "dev", "test")}
     assert counts == {"train": 90, "dev": 5, "test": 5}
-
-
-def test_oracle_decoder_exact_at_zero_noise():
-    patterns = token_patterns(seed=3)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        tokens = [int(t) for t in rng.integers(0, 20, rng.integers(3, 11))]
-        frames = render_audio(tokens, patterns, noise_sigma=0.0, rng=rng)
-        assert oracle_decode(frames, patterns) == tokens
-
-
-def test_oracle_decoder_robust_at_low_noise():
-    patterns = token_patterns(seed=4)
-    rng = np.random.default_rng(1)
-    correct = 0
-    for _ in range(50):
-        tokens = [int(t) for t in rng.integers(0, 20, 6)]
-        frames = render_audio(tokens, patterns, noise_sigma=0.05, rng=rng)
-        correct += oracle_decode(frames, patterns) == tokens
-    assert correct == 50
 
 
 def test_language_count_bounds():

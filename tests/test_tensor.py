@@ -156,6 +156,32 @@ def test_batch_norm_eval_uses_running_stats():
     np.testing.assert_allclose(out.data, x / np.sqrt(1 + bn.eps), atol=1e-12)
 
 
+@given(st.integers(0, 10 ** 6), st.sampled_from([(24, 12, 10, 10), (3, 4, 9, 6), (2, 1, 1, 1)]))
+@settings(max_examples=30, deadline=None)
+def test_norms_equal_np_var_formulation(seed, shape):
+    # the centred input's mean square is how np.var computes, so bit for bit
+    rng = np.random.default_rng(seed)
+    x = rng.normal(3.0, 2.0, shape)
+    gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    out = T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), eps=1e-5).data
+    mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+    np.testing.assert_array_equal(out, (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * gamma + beta)
+
+    c = shape[1]
+    gamma, beta = rng.normal(size=c), rng.normal(size=c)
+    run_mean, run_var = rng.normal(size=c), rng.uniform(0.5, 2.0, c)
+    mean0, var0 = run_mean.copy(), run_var.copy()
+    out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), True, run_mean, run_var).data
+    mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    n = x.size // c
+    cs = (1, -1, 1, 1)
+    expected = ((x - mu.reshape(cs)) * (1.0 / np.sqrt(var + 1e-5).reshape(cs))
+                * gamma.reshape(cs) + beta.reshape(cs))
+    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(run_mean, mean0 * 0.9 + 0.1 * mu)
+    np.testing.assert_array_equal(run_var, var0 * 0.9 + 0.1 * var * n / max(n - 1, 1))
+
+
 def test_cross_entropy_uniform_logits():
     out = T.cross_entropy(Tensor(np.zeros((4, 30))), np.array([1, 2, 3, 4]), pad_id=0)
     np.testing.assert_allclose(out.item(), np.log(30.0), atol=1e-12)
