@@ -109,15 +109,6 @@ def read_wav(path: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
-def write_wav(path: str, samples: np.ndarray):
-    pcm = np.clip(np.asarray(samples) * 32768.0, -32768, 32767).astype("<i2")
-    with wave.open(path, "wb") as w:
-        w.setnchannels(1)
-        w.setsampwidth(2)
-        w.setframerate(SAMPLE_RATE)
-        w.writeframes(pcm.tobytes())
-
-
 # feature archive -------------------------------------------------------
 # Flat binary records: u32 T, u32 F (little-endian), then T*F float32.
 # The sidecar index (<archive>.idx) maps utterance id -> byte offset.

@@ -9,6 +9,7 @@ character embeddings, causal self-attention, cross-attention.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -102,6 +103,19 @@ def distance_penalty(n: int) -> np.ndarray:
     return np.log(np.maximum(d, 1.0))
 
 
+def _per_length(fn):
+    """Cache ``fn``'s table per arguments and hand it out read-only, so
+    every caller can share the one array."""
+    @functools.lru_cache(maxsize=64)
+    @functools.wraps(fn)
+    def cached(*args):
+        table = fn(*args)
+        table.flags.writeable = False
+        return table
+    return cached
+
+
+@_per_length
 def positional_encoding(length: int, d_model: int) -> np.ndarray:
     """Sinusoidal positions: sin on even indices, cos on odd, base 10000."""
     if d_model % 2:
@@ -112,6 +126,13 @@ def positional_encoding(length: int, d_model: int) -> np.ndarray:
     pe[:, 0::2] = np.sin(pos / div)
     pe[:, 1::2] = np.cos(pos / div)
     return pe
+
+
+@_per_length
+def causal_bias(length: int) -> np.ndarray:
+    """length×length additive bias hiding later positions: NEG_INF above
+    the diagonal, 0 elsewhere."""
+    return np.where(np.triu(np.ones((length, length)), k=1) > 0, NEG_INF, 0.0)
 
 
 def lengths_to_mask(lengths: np.ndarray, max_len: int) -> np.ndarray:
@@ -148,6 +169,12 @@ class KVCache:
 
 
 class MultiHeadAttention(Module):
+    """Scaled dot-product attention over ``n_heads`` heads.
+
+    Four ``Linear`` projections (q, k, v, output) and one ``T.attention``
+    node for the softmax of the scaled, biased scores times the values.
+    """
+
     def __init__(self, d_model: int, n_heads: int, rng):
         super().__init__()
         self.n_heads = n_heads
@@ -174,11 +201,7 @@ class MultiHeadAttention(Module):
             k, v = split(self.wk(kv)), split(self.wv(kv))
             if cache is not None:
                 k, v = cache.append(k, v)
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), self.d_head ** -0.5)
-        if bias is not None:
-            scores = T.add(scores, Tensor(bias))
-        attn = T.softmax(scores, axis=-1)
-        out = T.matmul(attn, v)
+        out = T.attention(q, k, v, self.d_head ** -0.5, bias)
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (B, Tq, d))
         return self.wo(out)
 
@@ -249,8 +272,10 @@ class SA2D(Module):
     Q/K/V are three conv blocks over the same input, run as one: their
     convs, ReLUs and batch norms are concatenated into one 3c-channel conv
     block, so the input's patches are built once, and the result is sliced
-    into q, k and v. Time-axis attention carries the distance penalty
-    (configurable), frequency-axis attention does not. The 2c outputs are
+    into q, k and v. Each axis's attention is one ``T.attention`` node, on
+    the B×c×T×F maps for time and on their transposes for frequency.
+    Time-axis attention carries the key mask and the distance penalty
+    (configurable), frequency-axis attention neither. The 2c outputs are
     concatenated on the channel axis and passed through a final conv block.
     """
 
@@ -290,17 +315,13 @@ class SA2D(Module):
     def __call__(self, x: Tensor, time_mask: np.ndarray, penalty: np.ndarray) -> Tensor:
         q, k, v = self._qkv(x)
         # time axis: B×c×T×F matrices, keys masked at padding frames
-        t_scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), self.scale)
         bias = _key_bias(time_mask)
         if self.use_penalty:
             bias = bias - penalty
-        t_out = T.matmul(T.softmax(T.add(t_scores, Tensor(bias)), axis=-1), v)
-        # frequency axis: transposed, no penalty
-        qf = T.transpose(q, (0, 1, 3, 2))
-        kf = T.transpose(k, (0, 1, 3, 2))
-        vf = T.transpose(v, (0, 1, 3, 2))
-        f_scores = T.scale(T.matmul(qf, T.transpose(kf, (0, 1, 3, 2))), self.scale)
-        f_out = T.transpose(T.matmul(T.softmax(f_scores, axis=-1), vf), (0, 1, 3, 2))
+        t_out = T.attention(q, k, v, self.scale, bias)
+        # frequency axis: transposed, no mask, no penalty
+        qf, kf, vf = (T.transpose(t, (0, 1, 3, 2)) for t in (q, k, v))
+        f_out = T.transpose(T.attention(qf, kf, vf, self.scale), (0, 1, 3, 2))
         return self.out(T.concat([t_out, f_out], axis=1))
 
 
@@ -428,7 +449,7 @@ class SpeechTransformer(Module):
             emb = self.forcing.inject_decoder(emb, langs, start)
         h = T.add(emb, Tensor(positional_encoding(L, self.cfg.d_model)[start:]))
         h = dec.pe_drop(h)
-        causal = np.where(np.triu(np.ones((L, L)), k=1) > 0, NEG_INF, 0.0)[start:]
+        causal = causal_bias(L)[start:]
         cross = _key_bias(enc.mask)
         for layer, kv in zip(dec.layers, kvs):
             h = layer(h, enc.memory, causal, cross, cache=kv)

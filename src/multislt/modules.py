@@ -119,7 +119,7 @@ class Linear(Module):
         self.bias = _param(np.zeros(d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight), self.bias)
+        return T.linear(x, self.weight, self.bias)
 
 
 class Conv2d(Module):

@@ -238,14 +238,18 @@ def tanh(a: Tensor) -> Tensor:
 
 # structural ------------------------------------------------------------
 
+def _matmul(a: np.ndarray, b: np.ndarray, op: str = "matmul") -> np.ndarray:
+    if a.ndim < 1 or b.ndim < 1 or a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} x {b.shape}")
+    try:
+        return np.matmul(a, b)
+    except ValueError as e:
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} x {b.shape}") from e
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 1 or b.ndim < 1 or a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError as e:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}") from e
+    data = _matmul(a.data, b.data)
 
     def backward(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -291,10 +295,9 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
+        splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
             t._accumulate(piece)
 
@@ -335,29 +338,89 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 # nonlinear blocks with analytic backward --------------------------------
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    gy = p * g
+    return gy - p * gy.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = _softmax(a.data, axis)
 
     def backward(g):
-        gy = data * g
-        a._accumulate(gy - data * gy.sum(axis=axis, keepdims=True))
+        a._accumulate(_softmax_grad(data, g, axis))
 
     return _make(data, (a,), backward)
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight + bias`` as one node.
+
+    Forward and backward do ``matmul`` then ``add``'s arithmetic in the same
+    order, so the results equal that composition bit for bit.
+    """
+    data = _matmul(x.data, weight.data, "linear")
+    data += bias.data
+
+    def backward(g):
+        gx = np.matmul(g, np.swapaxes(weight.data, -1, -2))
+        gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
+        x._accumulate(_unbroadcast(gx, x.shape))
+        weight._accumulate(_unbroadcast(gw, weight.shape))
+        bias._accumulate(_unbroadcast(g, bias.shape))
+
+    return _make(data, (x, weight, bias), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+              bias: np.ndarray | None = None) -> Tensor:
+    """``softmax(q kᵀ · scale + bias) v`` over the last two axes, as one node.
+
+    ``bias`` is a constant (masks, penalties) that broadcasts to the
+    scores' shape; ``k`` and ``v`` of batch 1 serve every query row. The
+    arithmetic is that of ``matmul``, ``scale``, ``add``, ``softmax`` and
+    ``matmul`` in sequence, in the same order, forward and backward, so the
+    results equal that composition bit for bit.
+    """
+    kt = np.swapaxes(k.data, -1, -2)
+    scores = _matmul(q.data, kt, "attention")
+    scores *= scale
+    if bias is not None:
+        scores += bias
+    p = _softmax(scores, -1)
+    data = _matmul(p, v.data, "attention")
+
+    def backward(g):
+        gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gv = np.matmul(np.swapaxes(p, -1, -2), g)
+        v._accumulate(_unbroadcast(gv, v.shape))
+        gs = _softmax_grad(p, _unbroadcast(gp, p.shape), -1)
+        gs *= scale
+        gq = np.matmul(gs, k.data)
+        gkt = np.matmul(np.swapaxes(q.data, -1, -2), gs)
+        q._accumulate(_unbroadcast(gq, q.shape))
+        k._accumulate(np.swapaxes(_unbroadcast(gkt, kt.shape), -1, -2))
+
+    return _make(data, (q, k, v), backward)
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis; gamma/beta broadcast over it."""
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)  # np.var's steps
+    # np.mean is a sum and a true divide; np.var's steps reuse the centred input
+    n = x.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + eps)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
 
     def backward(g):
         gxhat = g * gamma.data
-        m1 = gxhat.mean(axis=-1, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = gxhat.sum(axis=-1, keepdims=True) / n
+        m2 = (gxhat * xhat).sum(axis=-1, keepdims=True) / n
         x._accumulate((gxhat - m1 - xhat * m2) * inv)
         red = tuple(range(g.ndim - 1))
         gamma._accumulate(_unbroadcast((g * xhat).sum(axis=red), gamma.shape))
@@ -382,12 +445,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, training: bool,
         if x.shape[0] < 2:
             raise ValueError("batch_norm training mode needs batch size >= 2 "
                              "(variance undefined)")
-        mu = x.data.mean(axis=axes)
+        # np.mean is a sum and a true divide; np.var's steps reuse the centred input
+        n = x.shape[0] * x.shape[2] * x.shape[3]
+        mu = x.data.sum(axis=axes) / n
         xc = x.data - mu.reshape(cshape)
-        var = (xc * xc).mean(axis=axes)  # np.var's steps, reusing the centred input
+        var = (xc * xc).sum(axis=axes) / n
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
-        n = x.shape[0] * x.shape[2] * x.shape[3]
         running_var *= 1.0 - momentum
         running_var += momentum * var * n / max(n - 1, 1)
     else:
@@ -400,8 +464,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, training: bool,
     def backward(g):
         gxhat = g * gamma.data.reshape(cshape)
         if training:
-            m1 = gxhat.mean(axis=axes, keepdims=True)
-            m2 = (gxhat * xhat).mean(axis=axes, keepdims=True)
+            m1 = gxhat.sum(axis=axes, keepdims=True) / n
+            m2 = (gxhat * xhat).sum(axis=axes, keepdims=True) / n
             x._accumulate((gxhat - m1 - xhat * m2) * inv)
         else:
             x._accumulate(gxhat * inv)

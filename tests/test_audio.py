@@ -5,6 +5,8 @@ from hypothesis import given, settings, strategies as st
 from multislt import audio
 from multislt.audio import FeatureSequence, mel_spectrogram, normalize
 
+from helpers import write_wav
+
 
 def test_one_second_gives_98_frames():
     fs = mel_spectrogram(np.zeros(16000))
@@ -67,7 +69,7 @@ def test_wav_round_trip_and_format_errors(tmp_path):
     rng = np.random.default_rng(3)
     samples = rng.uniform(-0.5, 0.5, 1600)
     path = str(tmp_path / "a.wav")
-    audio.write_wav(path, samples)
+    write_wav(path, samples)
     back = audio.read_wav(path)
     np.testing.assert_allclose(back, samples, atol=1.0 / 32768)
 

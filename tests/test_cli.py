@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from multislt.audio import write_wav
 from multislt.cli import build_parser, main, resolve_run_config
 from multislt.manifest import ManifestEntry, read_manifest, write_manifest
 from multislt.trainer import read_checkpoint
+
+from helpers import write_wav
 
 
 @pytest.fixture(scope="module")

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 import multislt.tensor as T
 from multislt.manifest import BOS_ID
-from multislt.model import (SA2D, DecoderCache, EncoderState, ModelConfig, SpeechTransformer,
-                            distance_penalty, encoder_length, lengths_to_mask,
-                            positional_encoding)
+from multislt.model import (NEG_INF, SA2D, DecoderCache, EncoderState, ModelConfig,
+                            SpeechTransformer, causal_bias, distance_penalty, encoder_length,
+                            lengths_to_mask, positional_encoding)
 from multislt.tensor import Tensor, grad_check
 
 
@@ -74,6 +74,24 @@ def test_positional_encoding_odd_dim_rejected():
         positional_encoding(4, 7)
 
 
+@pytest.mark.parametrize("length", [1, 2, 9, 31])
+def test_cached_tables_are_read_only_and_fresh(length):
+    # one shared array per length: the caches must hand out what a fresh
+    # computation gives, and no caller may write into it
+    d = 16
+    pos = np.arange(length)[:, None] / 10000.0 ** (np.arange(0, d, 2) / d)
+    pe = np.empty((length, d))
+    pe[:, 0::2], pe[:, 1::2] = np.sin(pos), np.cos(pos)
+    causal = np.where(np.triu(np.ones((length, length)), k=1) > 0, NEG_INF, 0.0)
+    for table, fresh in ((positional_encoding(length, d), pe), (causal_bias(length), causal)):
+        assert np.array_equal(table, fresh)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+    assert positional_encoding(length, d) is positional_encoding(length, d)
+    assert causal_bias(length) is causal_bias(length)
+
+
 # shape algebra ---------------------------------------------------------
 
 def test_encoder_length_examples():
@@ -116,18 +134,25 @@ def test_batch_equivariance_eval_mode():
     np.testing.assert_allclose(enc_p.memory.data, enc.memory.data[perm], atol=1e-12)
 
 
+def _attention_weight_spy(captured):
+    """A stand-in for ``T.attention`` that appends each call's attention
+    weights to ``captured``: the real op with the identity as values."""
+    real_attention = T.attention
+
+    def spy(q, k, v, scale, bias=None):
+        eye = Tensor(np.eye(k.shape[-2]))
+        captured.append(real_attention(q, k, eye, scale, bias).data)
+        return real_attention(q, k, v, scale, bias)
+    return spy
+
+
 def test_padding_frames_get_zero_attention_weight(monkeypatch):
     captured = []
-    real_softmax = T.softmax
-
-    def spy(x, axis=-1):
-        out = real_softmax(x, axis=axis)
-        captured.append(out.data)
-        return out
+    spy = _attention_weight_spy(captured)
 
     m = make_model()
     feats = np.random.default_rng(6).normal(size=(2, 16, 40))
-    monkeypatch.setattr(T, "softmax", spy)
+    monkeypatch.setattr(T, "attention", spy)
     m.encode(feats, [16, 8])  # second utterance: frames 2.. at T' scale are pads
     t_prime = encoder_length(16)
     valid = encoder_length(8)
@@ -141,17 +166,12 @@ def test_penalty_suppresses_distant_attention(monkeypatch):
     # the same adversarially attractive distant frame gets strictly less
     # weight with the penalty than without, all else equal
     captured = []
-    real_softmax = T.softmax
-
-    def spy(x, axis=-1):
-        out = real_softmax(x, axis=axis)
-        captured.append(out.data)
-        return out
+    spy = _attention_weight_spy(captured)
 
     rng = np.random.default_rng(7)
     feats = rng.normal(size=(1, 40, 40))
     feats[0, 32:] *= 5.0  # attractive frames far from early queries
-    monkeypatch.setattr(T, "softmax", spy)
+    monkeypatch.setattr(T, "attention", spy)
 
     make_model(seed=3).encode(feats, [40])
     with_pen = [a.copy() for a in captured]

@@ -262,6 +262,13 @@ OPS = {
     "broadcast_to": lambda x, rng: T.tsum(T.mul(
         T.broadcast_to(T.reshape(x, (3, 1, 4)), (2, 3, 5, 4)),
         Tensor(rng.normal(size=(2, 3, 5, 4))))),
+    "linear": lambda x, rng: T.tsum(T.mul(
+        T.linear(x, Tensor(rng.normal(size=(4, 3)), requires_grad=True),
+                 Tensor(rng.normal(size=3), requires_grad=True)),
+        Tensor(rng.normal(size=(3, 3))))),
+    # x is the queries, keys and values at once
+    "attention": lambda x, rng: T.tsum(T.mul(
+        T.attention(x, x, x, 0.7, rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3, 4))))),
 }
 
 
@@ -331,6 +338,104 @@ def test_conv2d_matches_einsum_oracle(b, c, o, h, w, stride, seed):
     for got, ref in zip((out.data, x.grad, wt.grad, bt.grad), want):
         assert got.shape == ref.shape
         assert _rel_err(got, ref) <= 1e-12
+
+
+# fused ops against their unfused compositions -----------------------------
+
+def _unfused_linear(x, w, b):
+    return T.add(T.matmul(x, w), b)
+
+
+def _unfused_attention(q, k, v, scale, bias=None):
+    swap = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    scores = T.scale(T.matmul(q, T.transpose(k, swap)), scale)
+    if bias is not None:
+        scores = T.add(scores, Tensor(bias))
+    return T.matmul(T.softmax(scores, axis=-1), v)
+
+
+def _run(op, arrays, g):
+    """``op``'s output and each operand's gradient for upstream gradient ``g``."""
+    ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*ts)
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    return [out.data] + [t.grad for t in ts]
+
+
+def _assert_all_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@given(st.sampled_from([(2,), (3, 4), (1, 2, 3)]), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_linear_equals_matmul_plus_bias(lead, d_out, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=lead + (4,))
+    w, b = rng.normal(size=(4, d_out)), rng.normal(size=d_out)
+    g = rng.normal(size=lead + (d_out,))
+    _assert_all_equal(_run(T.linear, (x, w, b), g), _run(_unfused_linear, (x, w, b), g))
+
+
+@given(st.sampled_from([None, "keys", "full"]), st.booleans(), st.integers(1, 4),
+       st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_attention_equals_unfused_composition(bias_kind, shared_kv, tq, tk, d, seed):
+    # shared_kv: keys and values of batch 1 serve all B query rows
+    rng = np.random.default_rng(seed)
+    B, H = 3, 2
+    kv_batch = 1 if shared_kv else B
+    q = rng.normal(size=(B, H, tq, d))
+    k, v = rng.normal(size=(kv_batch, H, tk, d)), rng.normal(size=(kv_batch, H, tk, d + 1))
+    bias = {None: None,
+            "keys": np.where(rng.random((B, 1, 1, tk)) < 0.3, -1e30, 0.0),
+            "full": rng.normal(size=(B, 1, tq, tk))}[bias_kind]
+    scale = float(rng.uniform(0.1, 2.0))
+    g = rng.normal(size=(B, H, tq, d + 1))
+    got = _run(lambda *t: T.attention(*t, scale, bias), (q, k, v), g)
+    want = _run(lambda *t: _unfused_attention(*t, scale, bias), (q, k, v), g)
+    _assert_all_equal(got, want)
+
+    with T.no_grad():
+        out = T.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), scale, bias)
+    assert out._prev == () and not out.requires_grad
+    assert np.array_equal(out.data, want[0])
+
+
+def test_sa2d_frequency_attention_on_transposed_views():
+    # SA2D's frequency axis attends over transposed (non-contiguous) maps
+    rng = np.random.default_rng(15)
+    q, k, v = (rng.normal(size=(2, 3, 7, 5)) for _ in range(3))
+    g = rng.normal(size=(2, 3, 7, 5))
+    sw = (0, 1, 3, 2)
+
+    def fused(*t):
+        return T.transpose(T.attention(*(T.transpose(x, sw) for x in t), 0.25), sw)
+
+    def unfused(*t):
+        return T.transpose(_unfused_attention(*(T.transpose(x, sw) for x in t), 0.25), sw)
+    _assert_all_equal(_run(fused, (q, k, v), g), _run(unfused, (q, k, v), g))
+
+
+def test_fused_ops_grad_check_every_operand():
+    rng = np.random.default_rng(16)
+    x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+    q, k, v = rng.normal(size=(2, 3, 4)), rng.normal(size=(1, 5, 4)), rng.normal(size=(1, 5, 2))
+    bias, w_out = rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 3, 5))
+    ops = [(lambda t: T.linear(t, Tensor(w), Tensor(b)), x),
+           (lambda t: T.linear(Tensor(x), t, Tensor(b)), w),
+           (lambda t: T.linear(Tensor(x), Tensor(w), t), b),
+           (lambda t: T.attention(t, Tensor(k), Tensor(v), 0.5, bias), q),
+           (lambda t: T.attention(Tensor(q), t, Tensor(v), 0.5, bias), k),
+           (lambda t: T.attention(Tensor(q), Tensor(k), t, 0.5, bias), v)]
+    for op, arr in ops:
+        def f(t):
+            out = op(t)
+            return T.tsum(T.mul(out, Tensor(w_out[..., :out.shape[-1]])))
+        assert grad_check(f, Tensor(arr.copy())) < 1e-6
 
 
 def test_first_gradient_is_a_private_copy():
