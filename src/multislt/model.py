@@ -255,7 +255,12 @@ class DecoderLayer(Module):
 
 
 class ConvBlock(Module):
-    """conv -> ReLU -> batch norm."""
+    """conv -> ReLU -> batch norm, as one ``T.conv_block`` node.
+
+    The ``conv`` and ``bn`` submodules hold the parameters and running
+    statistics, so names, init draws and checkpoints are those of the
+    three-module composition.
+    """
 
     def __init__(self, c_in: int, c_out: int, stride, rng):
         super().__init__()
@@ -263,20 +268,24 @@ class ConvBlock(Module):
         self.bn = BatchNorm2d(c_out)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.bn(T.relu(self.conv(x)))
+        conv, bn = self.conv, self.bn
+        return T.conv_block(x, conv.weight, conv.bias, bn.gamma, bn.beta, bn.training,
+                            bn.running_mean, bn.running_var, stride=conv.stride,
+                            momentum=bn.momentum, eps=bn.eps)
 
 
 class SA2D(Module):
     """2D self-attention: per-channel attention along time and frequency.
 
     Q/K/V are three conv blocks over the same input, run as one: their
-    convs, ReLUs and batch norms are concatenated into one 3c-channel conv
-    block, so the input's patches are built once, and the result is sliced
-    into q, k and v. Each axis's attention is one ``T.attention`` node, on
-    the B×c×T×F maps for time and on their transposes for frequency.
-    Time-axis attention carries the key mask and the distance penalty
-    (configurable), frequency-axis attention neither. The 2c outputs are
-    concatenated on the channel axis and passed through a final conv block.
+    convs' and batch norms' parameters are concatenated into one 3c-channel
+    ``T.conv_block`` node, so the input's patches are built once, and the
+    result is sliced into q, k and v. Each axis's attention is one
+    ``T.attention`` node, on the B×c×T×F maps for time and on their
+    transposes for frequency. Time-axis attention carries the key mask and
+    the distance penalty (configurable), frequency-axis attention neither.
+    The 2c outputs are concatenated on the channel axis and passed through
+    a final conv block, one more ``T.conv_block`` node.
     """
 
     def __init__(self, cfg: ModelConfig, c_in: int, rng):
@@ -290,7 +299,7 @@ class SA2D(Module):
         self.out = ConvBlock(2 * c, cfg.sa2d_out_channels, (1, 1), rng)
 
     def _qkv(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """``self.q(x), self.k(x), self.v(x)``, from one conv and one batch norm.
+        """``self.q(x), self.k(x), self.v(x)``, from one ``T.conv_block``.
 
         Batch norm is per channel, so over the 3c channels it computes each
         block's own statistics; training writes the updated running
@@ -298,12 +307,11 @@ class SA2D(Module):
         """
         convs = [b.conv for b in (self.q, self.k, self.v)]
         bns = [b.bn for b in (self.q, self.k, self.v)]
-        h = T.conv2d(x, T.concat([m.weight for m in convs]), T.concat([m.bias for m in convs]))
         mean = np.concatenate([bn.running_mean for bn in bns])
         var = np.concatenate([bn.running_var for bn in bns])
-        h = T.batch_norm(T.relu(h), T.concat([bn.gamma for bn in bns]),
-                         T.concat([bn.beta for bn in bns]), self.training, mean, var,
-                         momentum=bns[0].momentum, eps=bns[0].eps)
+        h = T.conv_block(x, T.concat([m.weight for m in convs]), T.concat([m.bias for m in convs]),
+                         T.concat([bn.gamma for bn in bns]), T.concat([bn.beta for bn in bns]),
+                         self.training, mean, var, momentum=bns[0].momentum, eps=bns[0].eps)
         c = h.shape[1] // 3
         parts = [slice(i * c, (i + 1) * c) for i in range(3)]
         if self.training:

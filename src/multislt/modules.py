@@ -123,16 +123,14 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """3×3 kernel, padding 1 (fixed)."""
+    """3×3 kernel, padding 1 (fixed): the parameters of a convolution that
+    ``model.ConvBlock`` runs through ``T.conv_block``."""
 
     def __init__(self, c_in: int, c_out: int, stride, rng: np.random.Generator):
         super().__init__()
         self.stride = tuple(stride)
         self.weight = _param(rng.normal(0.0, (9 * c_in) ** -0.5, (c_out, c_in, 3, 3)))
         self.bias = _param(np.zeros(c_out))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.weight, self.bias, stride=self.stride)
 
 
 class BatchNorm2d(Module):

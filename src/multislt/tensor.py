@@ -1,7 +1,8 @@
 """Minimal reverse-mode autodiff on numpy float64 arrays.
 
 Every differentiable operation builds a node in a DAG; ``Tensor.backward()``
-walks the graph once in reverse topological order and accumulates gradients.
+walks the graph once in reverse topological order, accumulates gradients
+and releases each node's part of the graph as soon as it has run.
 All arithmetic is 64-bit so finite-difference checks are meaningful.
 Inside ``no_grad()`` ops build no nodes, which is how inference runs.
 """
@@ -24,7 +25,7 @@ class Tensor:
     Values are immutable after construction apart from ``grad`` accumulation.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "_released")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -32,6 +33,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._backward = None
         self._prev = ()
+        self._released = False
 
     @property
     def shape(self):
@@ -69,10 +71,16 @@ class Tensor:
             self.grad += g
 
     def backward(self):
-        """Reverse-mode sweep from a scalar output.
+        """Reverse-mode sweep from a scalar output, releasing the graph.
 
         Each node's local backward runs exactly once, in reverse
         topological order, so shared subexpressions sum their gradients.
+        No later node writes to a node whose backward has run, so its
+        gradient, its backward closure (with the arrays that closure saved)
+        and its parent links are dropped at once. A graph therefore takes
+        one backward pass; a second raises ``RuntimeError``. Leaves
+        (parameters, inputs with ``requires_grad``) keep their ``.grad``,
+        and every node keeps its ``data``.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
@@ -86,15 +94,24 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._released:
+                raise RuntimeError("backward() through a graph that was already released "
+                                   "by an earlier backward(); a graph takes one backward pass")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._prev:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = node._backward = None
+            node._prev = ()
+            node._released = True
 
     # operator sugar ----------------------------------------------------
     def __add__(self, other):
@@ -143,9 +160,14 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
+def _records(parents) -> bool:
+    """Whether an op on ``parents`` builds a node, so a backward can run."""
+    return _grad_mode.enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._prev = tuple(parents)
         out._backward = backward
@@ -429,6 +451,51 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(data, (x, gamma, beta), backward)
 
 
+def _batch_norm(h: np.ndarray, gamma: Tensor, beta: Tensor, training: bool,
+                running_mean: np.ndarray, running_var: np.ndarray,
+                momentum: float, eps: float):
+    """Channel-wise batch norm of the B×C×H×W array ``h``.
+
+    ``h`` is centred and normalised in place, so it ends as x̂. Returns the
+    output and ``backward(g)``, which accumulates gamma's and beta's
+    gradients and returns the gradient with respect to ``h``.
+    """
+    axes = (0, 2, 3)
+    cshape = (1, -1, 1, 1)
+    if training:
+        if h.shape[0] < 2:
+            raise ValueError("batch_norm training mode needs batch size >= 2 "
+                             "(variance undefined)")
+        # np.mean is a sum and a true divide; np.var's steps reuse the centred input
+        n = h.shape[0] * h.shape[2] * h.shape[3]
+        mu = h.sum(axis=axes) / n
+        h -= mu.reshape(cshape)
+        var = (h * h).sum(axis=axes) / n
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu
+        running_var *= 1.0 - momentum
+        running_var += momentum * var * n / max(n - 1, 1)
+    else:
+        h -= running_mean.reshape(cshape)
+        var = running_var
+    inv = 1.0 / np.sqrt(var + eps).reshape(cshape)
+    h *= inv
+    xhat = h
+    data = xhat * gamma.data.reshape(cshape) + beta.data.reshape(cshape)
+
+    def backward(g):
+        gxhat = g * gamma.data.reshape(cshape)
+        gamma._accumulate((g * xhat).sum(axis=axes))
+        beta._accumulate(g.sum(axis=axes))
+        if not training:
+            return gxhat * inv
+        m1 = gxhat.sum(axis=axes, keepdims=True) / n
+        m2 = (gxhat * xhat).sum(axis=axes, keepdims=True) / n
+        return (gxhat - m1 - xhat * m2) * inv
+
+    return data, backward
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, training: bool,
                running_mean: np.ndarray, running_var: np.ndarray,
                momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
@@ -439,38 +506,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, training: bool,
     """
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects a 4-axis input, got {x.shape}")
-    axes = (0, 2, 3)
-    cshape = (1, -1, 1, 1)
-    if training:
-        if x.shape[0] < 2:
-            raise ValueError("batch_norm training mode needs batch size >= 2 "
-                             "(variance undefined)")
-        # np.mean is a sum and a true divide; np.var's steps reuse the centred input
-        n = x.shape[0] * x.shape[2] * x.shape[3]
-        mu = x.data.sum(axis=axes) / n
-        xc = x.data - mu.reshape(cshape)
-        var = (xc * xc).sum(axis=axes) / n
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * n / max(n - 1, 1)
-    else:
-        xc = x.data - running_mean.reshape(cshape)
-        var = running_var
-    inv = 1.0 / np.sqrt(var + eps).reshape(cshape)
-    xhat = xc * inv
-    data = xhat * gamma.data.reshape(cshape) + beta.data.reshape(cshape)
+    data, bn_backward = _batch_norm(x.data.copy(order="K"), gamma, beta, training,
+                                    running_mean, running_var, momentum, eps)
 
     def backward(g):
-        gxhat = g * gamma.data.reshape(cshape)
-        if training:
-            m1 = gxhat.sum(axis=axes, keepdims=True) / n
-            m2 = (gxhat * xhat).sum(axis=axes, keepdims=True) / n
-            x._accumulate((gxhat - m1 - xhat * m2) * inv)
-        else:
-            x._accumulate(gxhat * inv)
-        gamma._accumulate((g * xhat).sum(axis=axes))
-        beta._accumulate(g.sum(axis=axes))
+        x._accumulate(bn_backward(g))
 
     return _make(data, (x, gamma, beta), backward)
 
@@ -490,11 +530,12 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     return _make(data, (x,), backward)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1)) -> Tensor:
-    """3×3 convolution with fixed padding 1.
+def _conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride):
+    """3×3 convolution with padding 1, by im2col and one GEMM.
 
-    Output spatial extent along a strided axis is ceil(in/stride), so stride-2
-    layers implement exact ceil-halving.
+    Returns the output, a new array the caller may overwrite, and
+    ``backward(g)``, which accumulates the gradients of ``x`` (by col2im),
+    ``weight`` and ``bias`` for the output gradient ``g``.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects B×C×H×W input, got {x.shape}")
@@ -540,7 +581,44 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1)) -> Tensor:
         weight._accumulate(gw.reshape(weight.shape))
         bias._accumulate(g.sum(axis=(0, 2, 3)))
 
+    return data, backward
+
+
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1)) -> Tensor:
+    """3×3 convolution with fixed padding 1.
+
+    Output spatial extent along a strided axis is ceil(in/stride), so stride-2
+    layers implement exact ceil-halving.
+    """
+    data, backward = _conv2d(x, weight, bias, stride)
     return _make(data, (x, weight, bias), backward)
+
+
+def conv_block(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
+               training: bool, running_mean: np.ndarray, running_var: np.ndarray,
+               stride=(1, 1), momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """``batch_norm(relu(conv2d(x)))`` as one node.
+
+    The convolution's output is private to the op, so ReLU, centring and
+    normalising run in place on it. Besides the convolution's padded input,
+    backward keeps x̂, the inverse deviations and a boolean ReLU mask, which
+    is built only when a backward can run. Forward and backward do the three
+    ops' arithmetic in the same order, so the results (running statistics
+    included) equal that composition bit for bit.
+    """
+    parents = (x, weight, bias, gamma, beta)
+    h, conv_backward = _conv2d(x, weight, bias, stride)
+    mask = h > 0.0 if _records(parents) else None
+    np.maximum(h, 0.0, out=h)
+    data, bn_backward = _batch_norm(h, gamma, beta, training, running_mean, running_var,
+                                    momentum, eps)
+
+    def backward(g):
+        gh = bn_backward(g)
+        gh *= mask
+        conv_backward(gh)
+
+    return _make(data, parents, backward)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

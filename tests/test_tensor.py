@@ -2,7 +2,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from multislt import tensor as T
 from multislt.tensor import Tensor, ShapeError, grad_check
@@ -295,6 +295,32 @@ def test_conv2d_grad_check(seed, stride):
     assert err < 1e-4
 
 
+def _conv_block_operands(rng, b=3, c=2, o=4, h=7, w=6):
+    return (rng.normal(size=(b, c, h, w)), rng.normal(size=(o, c, 3, 3)), rng.normal(size=o),
+            rng.normal(1.0, 0.5, size=o), rng.normal(size=o))
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([(1, 1), (2, 2)]), st.booleans(),
+       st.integers(0, 4))
+@settings(max_examples=30, deadline=None)
+def test_conv_block_grad_check(seed, stride, training, operand):
+    rng = np.random.default_rng(seed)
+    arrays = _conv_block_operands(rng, b=2, c=1, o=2, h=5, w=6)
+    mean, var = rng.normal(size=2), rng.uniform(0.5, 2.0, 2)
+    # finite differences across the ReLU kink are not derivatives
+    pre = T.conv2d(Tensor(arrays[0]), Tensor(arrays[1]), Tensor(arrays[2]), stride=stride)
+    assume(np.abs(pre.data).min() > 1e-3)
+    w_out = rng.normal(size=pre.shape)
+
+    def f(t):
+        ts = [Tensor(a) for a in arrays]
+        ts[operand] = t
+        out = T.conv_block(*ts, training, mean, var, stride=stride)
+        return T.tsum(T.mul(out, Tensor(w_out)))
+
+    assert grad_check(f, Tensor(arrays[operand].copy())) < 1e-4
+
+
 def _einsum_conv2d(x, w, b, stride, g):
     """The nine-tap einsum convolution, kept as the oracle for ``T.conv2d``.
 
@@ -405,6 +431,70 @@ def test_attention_equals_unfused_composition(bias_kind, shared_kv, tq, tk, d, s
     assert np.array_equal(out.data, want[0])
 
 
+def _unfused_conv_block(x, w, b, gamma, beta, training, mean, var, stride):
+    return T.batch_norm(T.relu(T.conv2d(x, w, b, stride=stride)), gamma, beta,
+                        training, mean, var)
+
+
+def _running_stats(c):
+    """Distinct running statistics per channel, so eval mode reads each."""
+    return np.linspace(-0.5, 0.5, c), np.linspace(0.5, 2.0, c)
+
+
+def _run_conv_block(op, arrays, g, training, x_grad, stride):
+    """``op``'s output, each parameter's gradient, x's gradient if it has
+    one, and the running statistics, for upstream gradient ``g``."""
+    x = Tensor(arrays[0].copy(), requires_grad=x_grad)
+    params = [Tensor(a.copy(), requires_grad=True) for a in arrays[1:]]
+    mean, var = _running_stats(g.shape[1])
+    out = op(x, *params, training, mean, var, stride)
+    np.testing.assert_array_equal(x.data, arrays[0])  # the input is not written to
+    T.tsum(T.mul(out, Tensor(g))).backward()
+    assert (x.grad is None) == (not x_grad)
+    grads = [p.grad for p in params] + ([x.grad] if x_grad else [])
+    return [out.data] + grads + [mean, var]
+
+
+def _np_batch_norm_of_relu(arrays, training, stride):
+    """The output and running statistics from numpy's mean and var, a witness
+    that does not share the ops' batch-norm arithmetic."""
+    x, w, b, gamma, beta = arrays
+    h = np.maximum(T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride).data, 0.0)
+    mean, var = _running_stats(h.shape[1])
+    if training:
+        mu, v = h.mean(axis=(0, 2, 3)), h.var(axis=(0, 2, 3))
+        n = h.size // h.shape[1]
+        mean, var = mean * 0.9 + 0.1 * mu, var * 0.9 + 0.1 * v * n / (n - 1)
+    else:
+        mu, v = mean, var
+    cs = (1, -1, 1, 1)
+    out = ((h - mu.reshape(cs)) * (1.0 / np.sqrt(v + 1e-5).reshape(cs))
+           * gamma.reshape(cs) + beta.reshape(cs))
+    return out, mean, var
+
+
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_const"])
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("stride", [(1, 1), (2, 2)], ids=["s1", "s2"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_conv_block_equals_unfused_composition(seed, stride, training, x_grad):
+    rng = np.random.default_rng(30 + seed)
+    b, h, w = 3 + seed, 7 + seed, 6
+    arrays = _conv_block_operands(rng, b=b, h=h, w=w)
+    g = rng.normal(size=(b, 4, -(-h // stride[0]), -(-w // stride[1])))
+    want = _run_conv_block(_unfused_conv_block, arrays, g, training, x_grad, stride)
+    got = _run_conv_block(T.conv_block, arrays, g, training, x_grad, stride)
+    _assert_all_equal(got, want)
+    witness = _np_batch_norm_of_relu(arrays, training, stride)
+    _assert_all_equal([got[0]] + got[-2:], witness)
+    if not training:  # the inference path: eval mode under no_grad
+        with T.no_grad():
+            out = T.conv_block(*(Tensor(a, requires_grad=True) for a in arrays), False,
+                               *_running_stats(4), stride)
+        assert out._prev == () and not out.requires_grad
+        assert np.array_equal(out.data, want[0])
+
+
 def test_sa2d_frequency_attention_on_transposed_views():
     # SA2D's frequency axis attends over transposed (non-contiguous) maps
     rng = np.random.default_rng(15)
@@ -439,13 +529,75 @@ def test_fused_ops_grad_check_every_operand():
 
 
 def test_first_gradient_is_a_private_copy():
-    # add passes its incoming gradient on unchanged to both operands; the
-    # second += into a.grad must not reach y.grad
+    # add passes its incoming gradient on unchanged to both operands; each
+    # operand's first gradient must be its own array
     a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    y = T.add(a, a)
-    T.tsum(y).backward()
-    np.testing.assert_array_equal(y.grad, np.ones(3))
+    b = Tensor(np.array([0.5, 4.0, -1.0]), requires_grad=True)
+    T.tsum(T.add(a, b)).backward()
+    np.testing.assert_array_equal(a.grad, np.ones(3))
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+    assert not np.shares_memory(a.grad, b.grad)
+    # the second gradient of the same operand is summed into the first
+    a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    T.tsum(T.add(a, a)).backward()
     np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
+
+
+def test_backward_releases_the_graph():
+    rng = np.random.default_rng(18)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    c = Tensor(rng.normal(size=(4, 2)))
+    h = T.matmul(x, w)
+    y = T.relu(h)
+    z = T.mul(y, c)
+    loss = T.tsum(z)
+    value = loss.item()
+    loss.backward()
+    for node in (h, y, z, loss):
+        assert node.grad is None and node._backward is None and node._prev == ()
+    # the leaves keep their gradients and every node its data
+    gz = (h.data > 0.0) * c.data
+    np.testing.assert_array_equal(w.grad, x.data.T @ gz)
+    np.testing.assert_array_equal(x.grad, gz @ w.data.T)
+    assert c.grad is None
+    assert loss.item() == value
+    np.testing.assert_array_equal(y.data, np.maximum(h.data, 0.0))
+
+
+def test_backward_releases_each_node_before_its_parents_run():
+    x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    mid = T.exp(x)
+    top = T.scale(mid, 3.0)
+    loss = T.tsum(top)
+    seen = []
+    mid_backward = mid._backward
+
+    def spy(g):
+        seen.append((top.grad, top._backward, top._prev, loss.grad))
+        mid_backward(g)
+
+    mid._backward = spy
+    loss.backward()
+    assert seen == [(None, None, (), None)]
+    np.testing.assert_array_equal(x.grad, 3.0 * np.exp(x.data))
+
+
+def test_second_backward_on_a_released_graph_raises():
+    p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    y = T.mul(p, p)
+    loss = T.tsum(y)
+    loss.backward()
+    first = p.grad.copy()
+    with pytest.raises(RuntimeError, match="already released"):
+        loss.backward()
+    # a new graph built on a released node cannot reach p either
+    with pytest.raises(RuntimeError, match="already released"):
+        T.tsum(T.scale(y, 2.0)).backward()
+    np.testing.assert_array_equal(p.grad, first)
+    # a fresh graph over the same leaf still backpropagates
+    T.tsum(T.mul(p, p)).backward()
+    np.testing.assert_array_equal(p.grad, 2.0 * first)
 
 
 def test_constants_get_no_gradient():
