@@ -140,9 +140,15 @@ class FeatureArchive:
                 self.index[utt_id] = int(off)
 
     def load(self, utt_id: str) -> FeatureSequence:
-        off = self.index[utt_id]
+        if utt_id not in self.index:
+            raise ValueError(f"feature archive {self.path} has no utterance {utt_id!r}")
         with open(self.path, "rb") as f:
-            f.seek(off)
-            t, fdim = struct.unpack("<II", f.read(8))
-            frames = np.frombuffer(f.read(4 * t * fdim), dtype="<f4")
+            f.seek(self.index[utt_id])
+            head = f.read(8)
+            t, fdim = struct.unpack("<II", head) if len(head) == 8 else (0, 0)
+            payload = f.read(4 * t * fdim)
+        if len(head) < 8 or len(payload) < 4 * t * fdim:
+            raise ValueError(f"feature archive {self.path}: the record of utterance "
+                             f"{utt_id!r} is truncated")
+        frames = np.frombuffer(payload, dtype="<f4")
         return FeatureSequence(utt_id, frames.reshape(t, fdim).astype(np.float64))

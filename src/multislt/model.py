@@ -5,19 +5,23 @@ reshape + feed-forward to d_model, sinusoidal positions, then a stack of
 post-norm Transformer layers whose self-attention is biased toward the
 local temporal context by a logarithmic distance penalty. Decoder:
 character embeddings, causal self-attention, cross-attention.
+
+Tensor names follow the module tree. Each CNN block is one
+``modules.ConvBlock`` (conv -> ReLU -> batch norm), so its tensors are
+e.g. ``encoder.front1.weight`` and ``encoder.sa2d1.qkv.running_var``.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .forcing import MODES, SITES, TargetForcing
-from .modules import (BatchNorm2d, Conv2d, Dropout, Embedding, LayerNorm,
-                      Linear, Module, ModuleList)
+from .modules import (ConvBlock, Dropout, Embedding, LayerNorm, Linear, Module,
+                      ModuleList)
 from .tensor import Tensor
 
 NEG_INF = -1e30  # additive mask value; exp() underflows to exactly 0
@@ -43,7 +47,6 @@ class ModelConfig:
     sa2d_out_channels: int = 16
     forcing_mode: str = "none"
     forcing_site: str = "pre"
-    penalty_in_sa2d: bool = True
 
     def __post_init__(self):
         self.languages = tuple(self.languages)
@@ -64,15 +67,6 @@ class ModelConfig:
         """The ``DESK`` preset, with any field overridden."""
         return cls(vocab_size=vocab_size, languages=tuple(languages),
                    **{**DESK, **overrides})
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["languages"] = list(self.languages)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -254,79 +248,33 @@ class DecoderLayer(Module):
         return self.ln3(T.add(x, self.drop3(self.ff(x))))
 
 
-class ConvBlock(Module):
-    """conv -> ReLU -> batch norm, as one ``T.conv_block`` node.
-
-    The ``conv`` and ``bn`` submodules hold the parameters and running
-    statistics, so names, init draws and checkpoints are those of the
-    three-module composition.
-    """
-
-    def __init__(self, c_in: int, c_out: int, stride, rng):
-        super().__init__()
-        self.conv = Conv2d(c_in, c_out, stride, rng)
-        self.bn = BatchNorm2d(c_out)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        conv, bn = self.conv, self.bn
-        return T.conv_block(x, conv.weight, conv.bias, bn.gamma, bn.beta, bn.training,
-                            bn.running_mean, bn.running_var, stride=conv.stride,
-                            momentum=bn.momentum, eps=bn.eps)
-
-
 class SA2D(Module):
     """2D self-attention: per-channel attention along time and frequency.
 
-    Q/K/V are three conv blocks over the same input, run as one: their
-    convs' and batch norms' parameters are concatenated into one 3c-channel
-    ``T.conv_block`` node, so the input's patches are built once, and the
-    result is sliced into q, k and v. Each axis's attention is one
-    ``T.attention`` node, on the B×c×T×F maps for time and on their
-    transposes for frequency. Time-axis attention carries the key mask and
-    the distance penalty (configurable), frequency-axis attention neither.
-    The 2c outputs are concatenated on the channel axis and passed through
-    a final conv block, one more ``T.conv_block`` node.
+    One ``qkv`` conv block maps the input to 3c channels, so the input's
+    patches are built once, and its output is sliced into q, k and v. Batch
+    norm is per channel, so each slice has its own statistics, as three
+    c-channel blocks would. Each axis's attention is one ``T.attention``
+    node, on the B×c×T×F maps for time and on their transposes for
+    frequency. Time-axis attention carries the key mask and the distance
+    penalty, frequency-axis attention neither. The 2c outputs are
+    concatenated on the channel axis and passed through the ``out`` conv
+    block.
     """
 
     def __init__(self, cfg: ModelConfig, c_in: int, rng):
         super().__init__()
         c = cfg.sa2d_channels
         self.scale = cfg.d_model ** -0.5
-        self.use_penalty = cfg.penalty_in_sa2d
-        self.q = ConvBlock(c_in, c, (1, 1), rng)
-        self.k = ConvBlock(c_in, c, (1, 1), rng)
-        self.v = ConvBlock(c_in, c, (1, 1), rng)
+        self.qkv = ConvBlock(c_in, 3 * c, (1, 1), rng)
         self.out = ConvBlock(2 * c, cfg.sa2d_out_channels, (1, 1), rng)
 
-    def _qkv(self, x: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """``self.q(x), self.k(x), self.v(x)``, from one ``T.conv_block``.
-
-        Batch norm is per channel, so over the 3c channels it computes each
-        block's own statistics; training writes the updated running
-        statistics back into each block.
-        """
-        convs = [b.conv for b in (self.q, self.k, self.v)]
-        bns = [b.bn for b in (self.q, self.k, self.v)]
-        mean = np.concatenate([bn.running_mean for bn in bns])
-        var = np.concatenate([bn.running_var for bn in bns])
-        h = T.conv_block(x, T.concat([m.weight for m in convs]), T.concat([m.bias for m in convs]),
-                         T.concat([bn.gamma for bn in bns]), T.concat([bn.beta for bn in bns]),
-                         self.training, mean, var, momentum=bns[0].momentum, eps=bns[0].eps)
-        c = h.shape[1] // 3
-        parts = [slice(i * c, (i + 1) * c) for i in range(3)]
-        if self.training:
-            for bn, part in zip(bns, parts):
-                bn.running_mean[...] = mean[part]
-                bn.running_var[...] = var[part]
-        return tuple(T.getitem(h, (slice(None), part)) for part in parts)
-
     def __call__(self, x: Tensor, time_mask: np.ndarray, penalty: np.ndarray) -> Tensor:
-        q, k, v = self._qkv(x)
+        h = self.qkv(x)
+        c = h.shape[1] // 3
+        q, k, v = (T.getitem(h, (slice(None), slice(i * c, (i + 1) * c))) for i in range(3))
         # time axis: B×c×T×F matrices, keys masked at padding frames
-        bias = _key_bias(time_mask)
-        if self.use_penalty:
-            bias = bias - penalty
-        t_out = T.attention(q, k, v, self.scale, bias)
+        t_out = T.attention(q, k, v, self.scale, _key_bias(time_mask) - penalty)
         # frequency axis: transposed, no mask, no penalty
         qf, kf, vf = (T.transpose(t, (0, 1, 3, 2)) for t in (q, k, v))
         f_out = T.transpose(T.attention(qf, kf, vf, self.scale), (0, 1, 3, 2))

@@ -122,31 +122,24 @@ class Linear(Module):
         return T.linear(x, self.weight, self.bias)
 
 
-class Conv2d(Module):
-    """3×3 kernel, padding 1 (fixed): the parameters of a convolution that
-    ``model.ConvBlock`` runs through ``T.conv_block``."""
+class ConvBlock(Module):
+    """3×3 conv (padding 1) -> ReLU -> batch norm, as one ``T.conv_block``
+    node. The block owns the conv's ``weight`` and ``bias``, the batch
+    norm's ``gamma`` and ``beta``, and its running statistics."""
 
     def __init__(self, c_in: int, c_out: int, stride, rng: np.random.Generator):
         super().__init__()
         self.stride = tuple(stride)
         self.weight = _param(rng.normal(0.0, (9 * c_in) ** -0.5, (c_out, c_in, 3, 3)))
         self.bias = _param(np.zeros(c_out))
-
-
-class BatchNorm2d(Module):
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
-        super().__init__()
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = _param(np.ones(channels))
-        self.beta = _param(np.zeros(channels))
-        self.register_buffer("running_mean", np.zeros(channels))
-        self.register_buffer("running_var", np.ones(channels))
+        self.gamma = _param(np.ones(c_out))
+        self.beta = _param(np.zeros(c_out))
+        self.register_buffer("running_mean", np.zeros(c_out))
+        self.register_buffer("running_var", np.ones(c_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.batch_norm(x, self.gamma, self.beta, self.training,
-                            self.running_mean, self.running_var,
-                            momentum=self.momentum, eps=self.eps)
+        return T.conv_block(x, self.weight, self.bias, self.gamma, self.beta, self.training,
+                            self.running_mean, self.running_var, stride=self.stride)
 
 
 class LayerNorm(Module):

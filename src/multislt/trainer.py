@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import struct
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -215,7 +216,8 @@ def mix_asr(entries: list[ManifestEntry]) -> list[ManifestEntry]:
 # little-endian float64 tensor payloads at the offsets the header records.
 
 MAGIC = b"MSLTCKPT"
-VERSION = 1
+VERSION = 2
+HEADER_FIELDS = ("config", "vocab", "adam", "tensors")
 
 
 class CheckpointError(ValueError):
@@ -240,7 +242,7 @@ def save_checkpoint(path: str, model: SpeechTransformer, vocab: Vocabulary,
                       "offset": offset})
         offset += 8 * arr.size
     header = {
-        "config": model.cfg.to_dict(),
+        "config": asdict(model.cfg),
         "vocab": vocab.chars,
         "languages": list(model.cfg.languages),
         "adam": None if state is None else {"beta1": state.beta1, "beta2": state.beta2,
@@ -258,19 +260,48 @@ def save_checkpoint(path: str, model: SpeechTransformer, vocab: Vocabulary,
     os.replace(tmp, path)
 
 
+def _rename_v1(path: str, config: dict, tensors: dict) -> dict:
+    """Version 1's tensors under version 2's names: a conv block's ``.conv.``
+    or ``.bn.`` segment goes, and each SA2D's q, k and v blocks join on axis 0,
+    in that order, as ``qkv``. ``config`` loses ``penalty_in_sa2d``."""
+    if config.pop("penalty_in_sa2d", True) is not True:
+        raise CheckpointError(f"{path}: SA2D without its distance penalty is no longer supported")
+    out, qkv = {}, {}
+    for (name, kind), arr in tensors.items():
+        name = re.sub(r"\.(?:conv|bn)\.", ".", name)
+        m = re.fullmatch(r"(encoder\.sa2d\d+)\.([qkv])\.(\w+)", name)
+        if m:
+            qkv.setdefault((f"{m[1]}.qkv.{m[3]}", kind), {})[m[2]] = arr
+        else:
+            out[(name, kind)] = arr
+    for (name, kind), parts in qkv.items():
+        if len(parts) < 3:
+            raise CheckpointError(f"{path}: {name} ({kind}) lacks a q, k or v block")
+        out[(name, kind)] = np.concatenate([parts[b] for b in "qkv"])
+    return out
+
+
 def read_checkpoint(path: str) -> tuple[dict, dict[tuple[str, str], np.ndarray]]:
-    """Header dict plus (name, kind) -> array map. Validates framing."""
+    """Header dict plus (name, kind) -> array map, in version 2's names."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < len(MAGIC) + 12 or data[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     version, hlen = struct.unpack_from("<IQ", data, len(MAGIC))
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError(f"{path}: unknown checkpoint version {version}")
     start = len(MAGIC) + 12
     if len(data) < start + hlen:
         raise CheckpointError(f"{path}: truncated header")
-    header = json.loads(data[start:start + hlen].decode("utf-8"))
+    try:
+        header = json.loads(data[start:start + hlen].decode("utf-8"))
+    except ValueError as e:
+        raise CheckpointError(f"{path}: unreadable header: {e}") from e
+    missing = [k for k in HEADER_FIELDS if not isinstance(header, dict) or k not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
+    if not isinstance(header["config"], dict):
+        raise CheckpointError(f"{path}: header config is not an object")
     payload = data[start + hlen:]
     tensors = {}
     for rec in header["tensors"]:
@@ -281,14 +312,19 @@ def read_checkpoint(path: str) -> tuple[dict, dict[tuple[str, str], np.ndarray]]
         arr = np.frombuffer(payload, dtype="<f8", count=size,
                             offset=rec["offset"]).reshape(rec["shape"]).copy()
         tensors[(rec["name"], rec["kind"])] = arr
+    if version == 1:
+        tensors = _rename_v1(path, header["config"], tensors)
     return header, tensors
 
 
 def load_checkpoint(path: str, seed: int = 0):
     """Rebuild (model, vocab, adam state) from a checkpoint file."""
     header, tensors = read_checkpoint(path)
-    cfg = ModelConfig.from_dict(header["config"])
-    vocab = Vocabulary(header["vocab"])
+    try:
+        cfg = ModelConfig(**header["config"])
+        vocab = Vocabulary(header["vocab"])
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad header: {e}") from e
     if len(vocab) != cfg.vocab_size:
         raise CheckpointError(f"{path}: vocab size {len(vocab)} does not match "
                               f"config vocab_size {cfg.vocab_size}")

@@ -243,6 +243,7 @@ def test_criterion_6_batching_contract():
 
 # criterion 7: toy-task experiment -------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_toy_task_experiment(tmp_path):
     result = run_toy_experiment(str(tmp_path), seed=17, n_languages=3,
                                 n_utt_per_lang=3000, steps=700, accum=4,

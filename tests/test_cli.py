@@ -1,16 +1,18 @@
 import gc
 import json
 import os
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
 from multislt.cli import build_parser, main, resolve_run_config
-from multislt.manifest import ManifestEntry, read_manifest, write_manifest
-from multislt.trainer import read_checkpoint
+from multislt.manifest import ManifestEntry, Vocabulary, read_manifest, write_manifest
+from multislt.model import ModelConfig, SpeechTransformer
+from multislt.trainer import read_checkpoint, save_checkpoint
 
-from helpers import write_wav
+from helpers import rewrite_header, write_wav
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +171,50 @@ def test_translate_unknown_target_language_exits_1_no_output(dataset, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and "L7" in err and "L0" in err
     assert not os.path.exists(out)
+
+
+def _exits_1_with_message(capsys, argv, out, *names):
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert all(name in err for name in names), err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("edit", [lambda h: h["config"].update(bogus=1),
+                                  lambda h: h["config"].pop("vocab_size"),
+                                  lambda h: h.pop("vocab")],
+                         ids=["unknown-config-key", "no-vocab-size", "no-vocab"])
+def test_translate_malformed_checkpoint_header_exits_1(dataset, tmp_path, capsys, edit):
+    cfg = ModelConfig(vocab_size=9, d_model=8, ff_hidden=8, n_heads=2,
+                      n_encoder_layers=1, n_decoder_layers=1)
+    good, bad = str(tmp_path / "good.ckpt"), str(tmp_path / "bad.ckpt")
+    save_checkpoint(good, SpeechTransformer(cfg), Vocabulary("abcde"))
+    rewrite_header(good, bad, edit)
+    out = str(tmp_path / "hyp.tsv")
+    _exits_1_with_message(capsys, ["translate", "--checkpoint", bad, "--manifest",
+                                   os.path.join(dataset, "manifest.tsv"), "--out", out],
+                          out, bad)
+
+
+@pytest.mark.parametrize("case", ["unknown-id", "cut-header", "cut-payload"])
+def test_train_bad_feature_archive_exits_1(dataset, tmp_path, capsys, case):
+    arc = str(tmp_path / "data.feats")
+    for suffix in ("", ".idx"):
+        shutil.copy(os.path.join(dataset, "data.feats" + suffix), arc + suffix)
+    offsets = {u: int(o) for u, o in (line.split("\t") for line in open(arc + ".idx"))}
+    utt = max(offsets, key=offsets.get)  # the archive's last record
+    if case == "unknown-id":
+        utt = "nope"
+    else:
+        with open(arc, "r+b") as f:
+            f.truncate(offsets[utt] + (4 if case == "cut-header" else 18))
+    manifest = str(tmp_path / "manifest.tsv")
+    write_manifest(manifest, [ManifestEntry(f"data.feats#{utt}", "abc", "abc", "L0", "train")])
+    out = str(tmp_path / "model.ckpt")
+    _exits_1_with_message(capsys, ["train", "--manifest", manifest, "--steps", "1",
+                                   "--save", out], out, arc, repr(utt))
 
 
 @pytest.mark.parametrize("beam", ["0", "-1"])

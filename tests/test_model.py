@@ -7,6 +7,7 @@ from multislt.manifest import BOS_ID
 from multislt.model import (NEG_INF, SA2D, DecoderCache, EncoderState, ModelConfig,
                             SpeechTransformer, causal_bias, distance_penalty, encoder_length,
                             lengths_to_mask, positional_encoding)
+from multislt.modules import ConvBlock
 from multislt.tensor import Tensor, grad_check
 
 
@@ -200,21 +201,36 @@ def test_sa2d_preserves_time_and_freq_extent():
 
 
 def _sa2d_run(c: int, training: bool, three_blocks: bool):
-    """One SA2D forward and backward; the oracle runs q, k and v as three
-    conv blocks, as ``self.q(x), self.k(x), self.v(x)``."""
+    """One SA2D forward and backward. The oracle runs q, k and v as three
+    c-channel conv blocks, built from the channel thirds of ``qkv``'s
+    parameters and running statistics; their gradients and statistics are
+    reported joined on the channel axis, under ``qkv``'s names."""
     sa = SA2D(tiny_cfg(sa2d_channels=c), 16, np.random.default_rng(c))
     rng = np.random.default_rng(100 + c)
     if not training:  # eval mode reads distinct running statistics per channel
         for _, buf in sa.named_buffers():
             buf[...] = rng.uniform(0.5, 1.5, buf.shape)
         sa.eval()
+    blocks = []
     if three_blocks:
-        sa._qkv = lambda x: (sa.q(x), sa.k(x), sa.v(x))
+        for i in range(3):
+            block = ConvBlock(16, c, (1, 1), np.random.default_rng(0))
+            block.load_state_dict({name: arr[i * c:(i + 1) * c]
+                                   for name, arr in sa.qkv.state_dict().items()})
+            block.training = training
+            blocks.append(block)
+        sa.qkv = lambda x: T.concat([block(x) for block in blocks], axis=1)
     x = Tensor(rng.normal(size=(3, 16, 9, 6)), requires_grad=True)
     out = sa(x, lengths_to_mask([9, 7, 4], 9), distance_penalty(9))
     T.tsum(T.mul(out, Tensor(rng.normal(size=out.shape)))).backward()
     grads = {name: p.grad for name, p in sa.named_parameters()}
     buffers = {name: b.copy() for name, b in sa.named_buffers()}
+    if three_blocks:
+        for name, _ in blocks[0].named_parameters():
+            grads["qkv." + name] = np.concatenate(
+                [dict(b.named_parameters())[name].grad for b in blocks])
+        for name, _ in blocks[0].named_buffers():
+            buffers["qkv." + name] = np.concatenate([getattr(b, name) for b in blocks])
     return out.data, x.grad, grads, buffers
 
 
@@ -232,19 +248,18 @@ def test_sa2d_fused_qkv_matches_three_blocks(c, training):
         np.testing.assert_allclose(buffers[name], buffers0[name], rtol=0, atol=1e-12,
                                    err_msg=name)
     if training:  # the running statistics did move
-        assert not np.allclose(buffers["q.bn.running_mean"], 0.0)
+        assert not np.allclose(buffers["qkv.running_mean"], 0.0)
 
 
 def test_sa2d_parameter_and_buffer_names():
     sa = SA2D(tiny_cfg(sa2d_channels=4, sa2d_out_channels=16), 16, np.random.default_rng(0))
-    blocks = {"q": 4, "k": 4, "v": 4, "out": 16}
-    c_in = {"q": 16, "k": 16, "v": 16, "out": 8}
+    blocks = {"qkv": (12, 16), "out": (16, 8)}
     params = {name: p.shape for name, p in sa.named_parameters()}
-    assert params == {n: s for b, o in blocks.items() for n, s in (
-        (f"{b}.conv.weight", (o, c_in[b], 3, 3)), (f"{b}.conv.bias", (o,)),
-        (f"{b}.bn.gamma", (o,)), (f"{b}.bn.beta", (o,)))}
-    assert [name for name, _ in sa.named_buffers()] == [
-        f"{b}.bn.{s}" for b in blocks for s in ("running_mean", "running_var")]
+    assert params == {n: s for b, (o, c_in) in blocks.items() for n, s in (
+        (f"{b}.weight", (o, c_in, 3, 3)), (f"{b}.bias", (o,)),
+        (f"{b}.gamma", (o,)), (f"{b}.beta", (o,)))}
+    assert [(name, b.shape) for name, b in sa.named_buffers()] == [
+        (f"{b}.{s}", (o,)) for b, (o, _) in blocks.items() for s in ("running_mean", "running_var")]
 
 
 def test_causal_mask_contract():

@@ -1,4 +1,6 @@
 import hashlib
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from multislt.trainer import (Batch, BatchComposer, CheckpointError, Example,
                               LRSchedule, batch_loss, load_checkpoint, lr_at,
                               make_batch, mix_asr, save_checkpoint, train_step,
                               transfer_encoder)
+
+from helpers import V1_FIXTURE, rewrite_header
 
 
 # learning-rate schedule ------------------------------------------------
@@ -268,6 +272,87 @@ def test_checkpoint_vocab_size_mismatch_rejected(tmp_path):
     save_checkpoint(path, m, Vocabulary("abcdefgh"))  # 12 != cfg.vocab_size 9
     with pytest.raises(CheckpointError, match="vocab"):
         load_checkpoint(path)
+
+
+def test_checkpoint_malformed_header_names_file(tmp_path):
+    path, bad = str(tmp_path / "h.ckpt"), str(tmp_path / "bad.ckpt")
+    save_checkpoint(path, _ckpt_model(), Vocabulary("abcde"))
+    rewrite_header(path, bad, lambda h: h.update(config=[1]))
+    with pytest.raises(CheckpointError, match=re.escape(bad)):
+        load_checkpoint(bad)
+    blob = bytearray(open(path, "rb").read())
+    blob[20] = 0xFF  # the header is no longer UTF-8 JSON
+    open(bad, "wb").write(bytes(blob))
+    with pytest.raises(CheckpointError, match="unreadable header"):
+        load_checkpoint(bad)
+
+
+# version-1 checkpoints ---------------------------------------------------
+
+def _v1_fixture():
+    """The fixture's model, vocab and Adam state, plus its reference values."""
+    model, vocab, state = load_checkpoint(V1_FIXTURE + ".ckpt")
+    return model, vocab, state, np.load(V1_FIXTURE + ".npz")
+
+
+def test_version_1_checkpoint_loads_with_equal_logits():
+    model, _, _, ref = _v1_fixture()
+    langs = list(ref["langs"])
+    model.eval()
+    enc = model.encode(ref["features"], ref["lengths"], langs)
+    assert np.array_equal(model.decode_logits(enc, ref["prefix_ids"], langs).data, ref["logits"])
+
+
+def test_version_1_adam_moments_join_in_q_k_v_order():
+    _, _, state, ref = _v1_fixture()
+    joined = 0
+    for key in ref.files:
+        m = re.fullmatch(r"([mv])\.(encoder\.sa2d\d)\.q\.(conv|bn)\.(\w+)", key)
+        if m is None:
+            continue
+        parts = [ref[f"{m[1]}.{m[2]}.{b}.{m[3]}.{m[4]}"] for b in "qkv"]
+        moments = state.m if m[1] == "m" else state.v
+        assert np.array_equal(moments[f"{m[2]}.qkv.{m[4]}"], np.concatenate(parts)), key
+        assert not np.array_equal(parts[0], parts[1])  # the order is observable
+        joined += 1
+    assert joined == 2 * 2 * 4  # m and v, two SA2D layers, four tensors each
+
+
+def test_transfer_from_version_1_copies_every_encoder_tensor():
+    model, _, _, _ = _v1_fixture()
+    dst = SpeechTransformer(model.cfg, seed=9)
+    encoder = {n: a for n, a in model.state_dict().items() if n.startswith("encoder.")}
+    assert transfer_encoder(V1_FIXTURE + ".ckpt", dst) == len(encoder)
+    for name, arr in dst.state_dict().items():
+        if name in encoder:
+            np.testing.assert_array_equal(arr, encoder[name], err_msg=name)
+
+
+def test_version_1_resaves_as_version_2_round_trip(tmp_path):
+    model, vocab, state, _ = _v1_fixture()
+    p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+    save_checkpoint(p1, model, vocab, state)
+    blob = open(p1, "rb").read()
+    assert struct.unpack_from("<I", blob, 8) == (2,)
+    m2, vocab2, state2 = load_checkpoint(p1)
+    save_checkpoint(p2, m2, vocab2, state2)
+    assert open(p2, "rb").read() == blob
+
+
+def test_version_1_without_sa2d_penalty_rejected(tmp_path):
+    bad = str(tmp_path / "nopen.ckpt")
+    rewrite_header(V1_FIXTURE + ".ckpt", bad,
+                   lambda h: h["config"].update(penalty_in_sa2d=False))
+    with pytest.raises(CheckpointError, match="penalty"):
+        load_checkpoint(bad)
+
+
+def test_version_1_missing_qkv_block_rejected(tmp_path):
+    bad = str(tmp_path / "nok.ckpt")
+    rewrite_header(V1_FIXTURE + ".ckpt", bad, lambda h: h.update(tensors=[
+        r for r in h["tensors"] if r["name"] != "encoder.sa2d1.k.conv.weight"]))
+    with pytest.raises(CheckpointError, match="sa2d1"):
+        load_checkpoint(bad)
 
 
 # encoder transfer ------------------------------------------------------
