@@ -135,8 +135,11 @@ class FeatureArchive:
         self.path = path
         self.index: dict[str, int] = {}
         with open(path + ".idx", encoding="utf-8") as f:
-            for line in f:
-                utt_id, off = line.rstrip("\n").split("\t")
+            for n, line in enumerate(f, 1):
+                utt_id, tab, off = line.rstrip("\n").partition("\t")
+                if not (tab and off.isascii() and off.isdigit()):
+                    raise ValueError(f"{path}.idx line {n}: expected "
+                                     f"'<utterance id><tab><byte offset>', got {line!r}")
                 self.index[utt_id] = int(off)
 
     def load(self, utt_id: str) -> FeatureSequence:

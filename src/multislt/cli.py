@@ -2,8 +2,9 @@
 translate, evaluate, audit, gradcheck.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime failure.
-Every run writes its resolved configuration and seed to the log before
-step 0, so a run can be reproduced from its header.
+train and asr-pretrain run ``trainer.train_run``, translate runs
+``decoding.decode_split``. A training log's "# {json}" header, saved as a
+file, reruns its run with ``--config``.
 """
 
 from __future__ import annotations
@@ -12,53 +13,22 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import Field, asdict, dataclass, fields
+from dataclasses import Field, fields
 
 import numpy as np
 
 from .audio import mel_spectrogram, read_wav, write_feature_archive
-from .decoding import decode_corpus
+from .decoding import decode_split
 from .evaluate import bleu, classify_language, language_audit, target_alphabets
 from .forcing import MODES, SITES
-from .manifest import (ManifestError, ManifestEntry, build_vocab,
-                       read_manifest, write_manifest)
-from .model import DESK, ModelConfig, SpeechTransformer
-from .trainer import (DESK_RECIPE, CheckpointError, LRSchedule, load_checkpoint,
-                      load_examples, mix_asr, save_checkpoint, train_model)
+from .manifest import ManifestError, ManifestEntry, read_manifest, write_manifest
+from .model import ModelConfig, SpeechTransformer
+from .trainer import CheckpointError, RunConfig, load_checkpoint, train_run
 from . import synth as synthmod
 
 
 class UsageError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Resolved settings of one train or asr-pretrain run, logged for
-    provenance. Each field but ``subcommand`` is a flag of those commands
-    (asr-pretrain has no forcing or ASR mixing) and a ``--config`` key.
-    """
-
-    subcommand: str
-    manifest: str | None = None
-    seed: int = 0
-    steps: int = DESK_RECIPE["steps"]
-    accum: int = DESK_RECIPE["accum"]
-    lr_max: float = DESK_RECIPE["lr_max"]
-    lr_init: float = LRSchedule.lr_init
-    warmup: int = DESK_RECIPE["warmup"]
-    forcing: str = "none"
-    site: str = "pre"
-    mix_asr: bool = False
-    transfer_from: str | None = None
-    save: str | None = None
-    log: str | None = None
-    d_model: int = DESK["d_model"]
-    ff_hidden: int = DESK["ff_hidden"]
-    n_encoder_layers: int = DESK["n_encoder_layers"]
-    n_decoder_layers: int = DESK["n_decoder_layers"]
-    n_heads: int = DESK["n_heads"]
-    dropout: float = ModelConfig.dropout
 
 
 CHOICES = {"forcing": MODES, "site": SITES}
@@ -83,8 +53,7 @@ def add_run_flags(parser: argparse.ArgumentParser, subcommand: str):
         if _field_type(f) is bool:
             parser.add_argument(flag, action="store_true")
         else:
-            parser.add_argument(flag, type=_field_type(f), choices=CHOICES.get(name),
-                                required=name == "manifest")
+            parser.add_argument(flag, type=_field_type(f), choices=CHOICES.get(name))
 
 
 def _file_value(f: Field, value):
@@ -111,9 +80,12 @@ def resolve_run_config(args: argparse.Namespace) -> RunConfig:
     """RunConfig defaults < ``--config`` file < flags the user gave.
 
     Run flags default to ``argparse.SUPPRESS``, so ``args`` holds only the
-    flags on the command line.
+    flags on the command line. Logged fields with no flag (``subcommand``,
+    asr-pretrain's forcing and ASR mixing) must hold the values run with.
     """
     known = _run_fields(args.subcommand)
+    fixed = {f.name: f.default for f in fields(RunConfig) if f.name not in known}
+    fixed["subcommand"] = args.subcommand
     values = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as f:
@@ -121,10 +93,16 @@ def resolve_run_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(loaded, dict):
             raise UsageError(f"{args.config}: expected a JSON object")
         for key, val in loaded.items():
-            if key not in known:
+            if key in known:
+                values[key] = _file_value(known[key], val)
+            elif key not in fixed:
                 raise UsageError(f"unknown config key {key!r}")
-            values[key] = _file_value(known[key], val)
+            elif (type(val), val) != (type(fixed[key]), fixed[key]):
+                raise UsageError(f"config key {key!r} is {val!r}, but {args.subcommand} "
+                                 f"runs with {fixed[key]!r}")
     values.update({k: v for k, v in vars(args).items() if k in known})
+    if values.get("manifest") is None:
+        raise UsageError("a manifest is required: --manifest or a --config key")
     return RunConfig(subcommand=args.subcommand, **values)
 
 
@@ -158,41 +136,17 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     """train and asr-pretrain; the latter targets the English transcripts."""
-    rc = resolve_run_config(args)
-    entries = read_manifest(rc.manifest, check_files=False)
-    if rc.subcommand == "asr-pretrain":
-        entries = [ManifestEntry(e.audio_path, e.transcript, e.transcript, "en", e.split)
-                   for e in entries if e.transcript]
-    elif rc.mix_asr:
-        entries = mix_asr(entries)
-    languages = sorted({e.lang for e in entries})
-    vocab = build_vocab(entries, languages)
-    base = os.path.dirname(os.path.abspath(rc.manifest))
-    examples = load_examples(entries, vocab, base_dir=base, split="train")
-
-    cfg = ModelConfig.desk(len(vocab), languages, dropout=rc.dropout,
-                           forcing_mode=rc.forcing, forcing_site=rc.site,
-                           **{name: getattr(rc, name) for name in DESK})
-    sched = LRSchedule(lr_init=rc.lr_init, lr_max=rc.lr_max, warmup=rc.warmup)
-    model, state, _ = train_model(cfg, examples, rc.seed, sched, rc.steps, rc.accum,
-                                  transfer_from=rc.transfer_from, log_path=rc.log,
-                                  run_config=asdict(rc), verbose=True)
-    if rc.save:
-        save_checkpoint(rc.save, model, vocab, state)
-        print(f"saved checkpoint {rc.save}")
+    train_run(resolve_run_config(args), verbose=True)
     return 0
 
 
 def cmd_translate(args) -> int:
     model, vocab, _ = load_checkpoint(args.checkpoint)
-    model.eval()
     entries = read_manifest(args.manifest, check_files=False)
     alphabets = target_alphabets(entries)
-    base = os.path.dirname(os.path.abspath(args.manifest))
-    examples = load_examples(entries, vocab, base_dir=base, split=args.split)
-    items = [(ex.features, ex.lang) for ex in examples]
-    hyps = decode_corpus(model, vocab, items, beam=args.beam,
-                         max_len=args.max_len, workers=args.workers)
+    examples, hyps = decode_split(model, vocab, entries,
+                                  os.path.dirname(os.path.abspath(args.manifest)),
+                                  args.split, args.beam, args.max_len, args.workers)
     with open(args.out, "w", encoding="utf-8") as f:
         for ex, hyp in zip(examples, hyps):
             detected = classify_language(hyp.text, alphabets) or "?"

@@ -1,4 +1,5 @@
-"""Autoregressive character decoding: beam search, of which greedy is beam 1.
+"""Autoregressive character decoding: beam search, of which greedy is beam 1,
+and ``decode_split``, which ``translate`` and ``run_toy_experiment`` share.
 
 Decoding records no autodiff graph, and each search step makes one
 decoder call for all live prefixes, reusing their cached keys and values.
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .manifest import BOS_ID, EOS_ID, Vocabulary
+from .manifest import BOS_ID, EOS_ID, ManifestEntry, Vocabulary
 from .model import DecoderCache, SpeechTransformer
+from .trainer import Example, load_examples
 
 
 @dataclass
@@ -109,3 +111,14 @@ def decode_corpus(model: SpeechTransformer, vocab: Vocabulary, items,
         return [one(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, items))
+
+
+def decode_split(model: SpeechTransformer, vocab: Vocabulary, entries: list[ManifestEntry],
+                 base_dir: str, split: str, beam: int = 1, max_len: int = 200,
+                 workers: int = 1) -> tuple[list[Example], list[Hypothesis]]:
+    """Load the ``split`` rows of ``entries`` (paths relative to ``base_dir``)
+    and decode them with the model in eval mode: (examples, hypotheses)."""
+    model.eval()
+    examples = load_examples(entries, vocab, base_dir=base_dir, split=split)
+    return examples, decode_corpus(model, vocab, [(ex.features, ex.lang) for ex in examples],
+                                   beam=beam, max_len=max_len, workers=workers)

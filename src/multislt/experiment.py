@@ -1,8 +1,9 @@
 """Desk-scale behavioral experiment on the synthetic multilingual task.
 
 Generates the dataset, trains a multilingual model with one target-forcing
-configuration, decodes a held-out split, and reports training losses, the
-output-language audit, and token accuracy in one metrics dict.
+configuration and decodes a held-out split, by the path of ``multislt train``
+and ``translate`` (``train_run``, ``decode_split``). Reports training losses,
+the output-language audit, and token accuracy in one metrics dict.
 """
 
 from __future__ import annotations
@@ -12,12 +13,10 @@ import time
 
 import numpy as np
 
-from .decoding import decode_corpus
+from .decoding import decode_split
 from .evaluate import language_audit, target_alphabets, token_accuracy
-from .manifest import build_vocab
-from .model import ModelConfig
 from .synth import default_languages, synth_dataset
-from .trainer import DESK_RECIPE, LRSchedule, load_examples, save_checkpoint, train_model
+from .trainer import RunConfig, train_run
 
 
 def moving_average(values, window: int) -> list[float]:
@@ -29,41 +28,28 @@ def moving_average(values, window: int) -> list[float]:
 
 
 def run_toy_experiment(work_dir: str, seed: int = 17, n_languages: int = 3,
-                       n_utt_per_lang: int = 3000, steps: int = DESK_RECIPE["steps"],
-                       accum: int = DESK_RECIPE["accum"], warmup: int = DESK_RECIPE["warmup"],
-                       lr_max: float = DESK_RECIPE["lr_max"],
+                       n_utt_per_lang: int = 3000, steps: int = RunConfig.steps,
+                       accum: int = RunConfig.accum, warmup: int = RunConfig.warmup,
+                       lr_max: float = RunConfig.lr_max,
                        forcing_mode: str = "merge", forcing_site: str = "pre",
                        eval_split: str = "test", max_eval: int | None = None,
                        checkpoint: str | None = None,
                        verbose: bool = False) -> dict:
     """Train on the synthetic task and measure the outcome.
 
-    The defaults are the criterion-7 recipe, ``DESK_RECIPE`` at merge-at-pre.
+    The defaults are the criterion-7 recipe, ``RunConfig``'s at merge-at-pre.
     Returns a dict with per-update ``losses``, the per-language ``audit``
     fractions, corpus ``token_accuracy``, and wall-clock ``seconds``.
     """
     t0 = time.monotonic()
-    languages = default_languages(n_languages)
     data_dir = os.path.join(work_dir, "data")
-    _, entries = synth_dataset(data_dir, seed=seed, n_utt_per_lang=n_utt_per_lang,
-                               languages=languages)
-    lang_ids = [l.lang_id for l in languages]
-    vocab = build_vocab(entries, lang_ids)
-    train_examples = load_examples(entries, vocab, base_dir=data_dir, split="train")
-
-    cfg = ModelConfig.desk(vocab_size=len(vocab), languages=lang_ids,
-                           forcing_mode=forcing_mode, forcing_site=forcing_site)
-    model, state, losses = train_model(cfg, train_examples, seed,
-                                       LRSchedule(lr_max=lr_max, warmup=warmup),
-                                       steps, accum, verbose=verbose)
-    if checkpoint:
-        save_checkpoint(checkpoint, model, vocab, state)
-
-    model.eval()
-    held = load_examples(entries, vocab, base_dir=data_dir, split=eval_split)
-    if max_eval is not None:
-        held = held[:max_eval]
-    hyps = decode_corpus(model, vocab, [(ex.features, ex.lang) for ex in held], max_len=14)
+    manifest, entries = synth_dataset(data_dir, seed=seed, n_utt_per_lang=n_utt_per_lang,
+                                      languages=default_languages(n_languages))
+    model, vocab, _, losses = train_run(RunConfig(
+        manifest=manifest, seed=seed, steps=steps, accum=accum, warmup=warmup,
+        lr_max=lr_max, forcing=forcing_mode, site=forcing_site, save=checkpoint), verbose)
+    rows = [e for e in entries if e.split == eval_split][:max_eval]
+    held, hyps = decode_split(model, vocab, rows, data_dir, eval_split, max_len=14)
     audit = language_audit([(ex.lang, h.text) for ex, h in zip(held, hyps)],
                            target_alphabets(entries))
     acc = token_accuracy([h.text for h in hyps],

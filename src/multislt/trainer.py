@@ -1,9 +1,11 @@
-"""Multilingual training: batch composition, LR schedule, gradient
-accumulation, ASR mixing, encoder transfer, and checkpoint I/O."""
+"""Multilingual training: batch composition, LR schedule, gradient accumulation,
+ASR mixing, encoder transfer, checkpoint I/O, and ``train_run``, the one run of
+a ``RunConfig`` that the CLI and ``run_toy_experiment`` share."""
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import struct
@@ -14,8 +16,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .manifest import BOS_ID, EOS_ID, PAD_ID, ManifestEntry, Vocabulary
-from .model import ModelConfig, SpeechTransformer
+from .manifest import (BOS_ID, EOS_ID, PAD_ID, ManifestEntry, Vocabulary, build_vocab,
+                       read_manifest)
+from .model import DESK, ModelConfig, SpeechTransformer
 from .optim import AdamState, adam_step
 from .tensor import Tensor
 
@@ -32,12 +35,6 @@ class LRSchedule:
     lr_init: float = 0.0003
     lr_max: float = 0.01
     warmup: int = 4000
-
-
-# The desk training recipe, criterion 7's: the defaults of ``multislt train``
-# and of ``run_toy_experiment``. Its warmup ends well inside its run, which
-# ``LRSchedule``'s full-scale warmup of 4000 updates would not.
-DESK_RECIPE = {"steps": 700, "accum": 4, "warmup": 130, "lr_max": 0.003}
 
 
 def lr_at(step: int, sched: LRSchedule) -> float:
@@ -218,6 +215,7 @@ def mix_asr(entries: list[ManifestEntry]) -> list[ManifestEntry]:
 MAGIC = b"MSLTCKPT"
 VERSION = 2
 HEADER_FIELDS = ("config", "vocab", "adam", "tensors")
+TENSOR_KINDS = ("param", "buffer", "adam_m", "adam_v")
 
 
 class CheckpointError(ValueError):
@@ -302,10 +300,16 @@ def read_checkpoint(path: str) -> tuple[dict, dict[tuple[str, str], np.ndarray]]
         raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
     if not isinstance(header["config"], dict):
         raise CheckpointError(f"{path}: header config is not an object")
+    if not isinstance(header["tensors"], list):
+        raise CheckpointError(f"{path}: header tensors is not a list")
     payload = data[start + hlen:]
     tensors = {}
-    for rec in header["tensors"]:
-        size = int(np.prod(rec["shape"], dtype=np.int64)) if rec["shape"] else 1
+    for i, rec in enumerate(header["tensors"]):
+        if not (isinstance(rec, dict) and isinstance(rec.get("name"), str)
+                and rec.get("kind") in TENSOR_KINDS and isinstance(rec.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in [*rec["shape"], rec.get("offset")])):
+            raise CheckpointError(f"{path}: malformed tensor record {i}: {rec!r}")
+        size = math.prod(rec["shape"])
         end = rec["offset"] + 8 * size
         if end > len(payload):
             raise CheckpointError(f"{path}: truncated payload at tensor {rec['name']!r}")
@@ -362,34 +366,76 @@ def transfer_encoder(ckpt_path: str, model: SpeechTransformer) -> int:
     return len(encoder)
 
 
-def train_model(cfg: ModelConfig, examples: list[Example], seed: int,
-                sched: LRSchedule, steps: int, accum: int,
-                transfer_from: str | None = None, log_path: str | None = None,
-                run_config: dict | None = None, verbose: bool = False):
-    """Build a model and run ``steps`` optimizer updates on ``examples``.
+@dataclass
+class RunConfig:
+    """Settings of one train or asr-pretrain run, logged for provenance.
+
+    The defaults are the desk recipe, criterion 7's. Its warmup ends well
+    inside its run, which ``LRSchedule``'s full-scale warmup of 4000 updates
+    would not. Each field but ``subcommand`` is a flag of those commands
+    (asr-pretrain has no forcing or ASR mixing) and a ``--config`` key.
+    """
+
+    subcommand: str = "train"
+    manifest: str | None = None
+    seed: int = 0
+    steps: int = 700
+    accum: int = 4
+    lr_max: float = 0.003
+    lr_init: float = LRSchedule.lr_init
+    warmup: int = 130
+    forcing: str = "none"
+    site: str = "pre"
+    mix_asr: bool = False
+    transfer_from: str | None = None
+    save: str | None = None
+    log: str | None = None
+    d_model: int = DESK["d_model"]
+    ff_hidden: int = DESK["ff_hidden"]
+    n_encoder_layers: int = DESK["n_encoder_layers"]
+    n_decoder_layers: int = DESK["n_decoder_layers"]
+    n_heads: int = DESK["n_heads"]
+    dropout: float = ModelConfig.dropout
+
+
+def train_run(rc: RunConfig, verbose: bool = False):
+    """Train a desk model on the train split of ``rc.manifest``; asr-pretrain
+    targets the English transcripts, ``mix_asr`` adds them as language "en".
 
     One seed drives the run: model initialisation ``seed``, dropout
-    ``(seed, 999)`` and batch composition ``BatchComposer(seed)``. With
-    ``log_path``, ``run_config`` is written as a "# {json}" header before
-    step 0 (so the run can be reproduced from it), then one
-    step/lr/loss/elapsed row per update. Returns (model, Adam state,
-    per-update losses).
+    ``(seed, 999)`` and batch composition ``BatchComposer(seed)``. ``rc.log``
+    gets ``rc`` as a "# {json}" header, then a step/lr/loss/elapsed row per
+    update. Returns (model, vocab, Adam state, per-update losses).
     """
-    model = SpeechTransformer(cfg, seed=seed)
-    model.set_rng(np.random.default_rng((seed, 999)))
-    if transfer_from:
-        copied = transfer_encoder(transfer_from, model)
-        print(f"transferred {copied} encoder tensors from {transfer_from}")
-    composer = BatchComposer(examples, seed=seed)
+    entries = read_manifest(rc.manifest, check_files=False)
+    if rc.subcommand == "asr-pretrain":
+        entries = [ManifestEntry(e.audio_path, e.transcript, e.transcript, "en", e.split)
+                   for e in entries if e.transcript]
+    elif rc.mix_asr:
+        entries = mix_asr(entries)
+    languages = sorted({e.lang for e in entries})
+    vocab = build_vocab(entries, languages)
+    examples = load_examples(entries, vocab, os.path.dirname(os.path.abspath(rc.manifest)),
+                             split="train")
+    cfg = ModelConfig.desk(len(vocab), languages, dropout=rc.dropout,
+                           forcing_mode=rc.forcing, forcing_site=rc.site,
+                           **{name: getattr(rc, name) for name in DESK})
+    sched = LRSchedule(lr_init=rc.lr_init, lr_max=rc.lr_max, warmup=rc.warmup)
+    model = SpeechTransformer(cfg, seed=rc.seed)
+    model.set_rng(np.random.default_rng((rc.seed, 999)))
+    if rc.transfer_from:
+        copied = transfer_encoder(rc.transfer_from, model)
+        print(f"transferred {copied} encoder tensors from {rc.transfer_from}")
+    composer = BatchComposer(examples, seed=rc.seed)
     state = AdamState()
     losses = []
-    with open(log_path, "w", encoding="utf-8") if log_path else nullcontext() as log:
+    with open(rc.log, "w", encoding="utf-8") if rc.log else nullcontext() as log:
         if log is not None:
-            log.write("# " + json.dumps(run_config, sort_keys=True) + "\n")
+            log.write("# " + json.dumps(asdict(rc), sort_keys=True) + "\n")
             log.flush()
         t0 = time.monotonic()
-        for _ in range(steps):
-            batches = [composer.next_batch() for _ in range(accum)]
+        for _ in range(rc.steps):
+            batches = [composer.next_batch() for _ in range(rc.accum)]
             lr = lr_at(state.step, sched)
             losses.append(train_step(model, batches, state, sched))
             if log is not None:
@@ -400,4 +446,8 @@ def train_model(cfg: ModelConfig, examples: list[Example], seed: int,
                 print(f"step {state.step}  lr {lr:.6g}  loss {losses[-1]:.4f}", flush=True)
     if verbose and losses:
         print(f"done: step {state.step}  loss {losses[-1]:.4f}")
-    return model, state, losses
+    if rc.save:
+        save_checkpoint(rc.save, model, vocab, state)
+        if verbose:
+            print(f"saved checkpoint {rc.save}")
+    return model, vocab, state, losses

@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from multislt import experiment
 from multislt.cli import build_parser, main, resolve_run_config
+from multislt.decoding import decode_split
 from multislt.manifest import ManifestEntry, Vocabulary, read_manifest, write_manifest
 from multislt.model import ModelConfig, SpeechTransformer
 from multislt.trainer import read_checkpoint, save_checkpoint
@@ -79,7 +81,8 @@ def test_config_file_unknown_key_is_usage_error(dataset, tmp_path):
 
 
 @pytest.mark.parametrize("values", [{"steps": "two"}, {"forcing": "bogus"},
-                                    {"mix_asr": "yes"}, [1, 2]])
+                                    {"mix_asr": "yes"}, [1, 2],
+                                    {"subcommand": "asr-pretrain"}, {"subcommand": None}])
 def test_config_file_bad_value_is_usage_error(dataset, tmp_path, values):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(values))
@@ -98,6 +101,57 @@ def test_asr_pretrain_has_no_forcing_flags(dataset, tmp_path):
     rc = json.loads(open(log, encoding="utf-8").readline()[2:])
     assert rc["subcommand"] == "asr-pretrain"
     assert rc["forcing"] == "none" and rc["mix_asr"] is False
+
+
+@pytest.mark.parametrize("values", [{"forcing": "merge"}, {"site": "post"}, {"mix_asr": True},
+                                    {"mix_asr": 0}, {"subcommand": "train"}])
+def test_asr_pretrain_config_takes_fixed_fields_only_at_their_values(dataset, tmp_path, values):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(values))
+    assert main(["asr-pretrain", "--manifest", os.path.join(dataset, "manifest.tsv"),
+                 "--steps", "1", "--accum", "1", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("command", ["train", "asr-pretrain"])
+def test_log_header_reruns_the_run(dataset, tmp_path, command):
+    logs = [str(tmp_path / "first.log"), str(tmp_path / "second.log")]
+    assert main([command, "--manifest", os.path.join(dataset, "manifest.tsv"), "--steps", "2",
+                 "--accum", "1", "--seed", "3", "--log", logs[0]]) == 0
+    cfg = tmp_path / "header.json"
+    cfg.write_text(open(logs[0], encoding="utf-8").readline()[2:])
+    assert main([command, "--config", str(cfg), "--log", logs[1]]) == 0
+    (head1, *rows1), (head2, *rows2) = (open(p, encoding="utf-8").read().splitlines()
+                                        for p in logs)
+    rc1, rc2 = json.loads(head1[2:]), json.loads(head2[2:])
+    assert rc2.pop("log") == logs[1] and rc1.pop("log") == logs[0]
+    assert rc1 == rc2 and rc1["subcommand"] == command
+    assert len(rows1) == 2
+    assert [r.split("\t")[:3] for r in rows1] == [r.split("\t")[:3] for r in rows2]
+
+
+def test_toy_experiment_runs_the_cli_path(tmp_path, monkeypatch):
+    decoded = []
+
+    def spy(*args, **kwargs):
+        decoded.append(decode_split(*args, **kwargs))
+        return decoded[-1]
+
+    monkeypatch.setattr(experiment, "decode_split", spy)
+    a, b, log, hyp = (str(tmp_path / name) for name in ("a.ckpt", "b.ckpt", "b.log", "b.tsv"))
+    result = experiment.run_toy_experiment(str(tmp_path / "toy"), seed=5, n_languages=2,
+                                           n_utt_per_lang=20, steps=2, accum=1, checkpoint=a)
+    manifest = str(tmp_path / "toy" / "data" / "manifest.tsv")
+    assert main(["train", "--manifest", manifest, "--seed", "5", "--steps", "2", "--accum", "1",
+                 "--forcing", "merge", "--site", "pre", "--save", b, "--log", log]) == 0
+    assert open(a, "rb").read() == open(b, "rb").read()
+    rows = open(log, encoding="utf-8").read().splitlines()[1:]
+    assert [r.split("\t")[2] for r in rows] == [f"{x:.6f}" for x in result["losses"]]
+    assert main(["translate", "--checkpoint", b, "--manifest", manifest,
+                 "--max-len", "14", "--out", hyp]) == 0
+    (examples, hyps), = decoded
+    tsv = [line.rstrip("\n").split("\t") for line in open(hyp, encoding="utf-8")]
+    assert [(r[0], r[4]) for r in tsv] == [(ex.utt_id, h.text) for ex, h in zip(examples, hyps)]
+    assert len(tsv) == result["n_eval"] > 0
 
 
 def test_evaluate_unknown_hypothesis_id_exits_1(dataset, tmp_path, capsys):
@@ -184,8 +238,21 @@ def _exits_1_with_message(capsys, argv, out, *names):
 
 @pytest.mark.parametrize("edit", [lambda h: h["config"].update(bogus=1),
                                   lambda h: h["config"].pop("vocab_size"),
-                                  lambda h: h.pop("vocab")],
-                         ids=["unknown-config-key", "no-vocab-size", "no-vocab"])
+                                  lambda h: h.pop("vocab"),
+                                  lambda h: h.update(tensors="x"),
+                                  lambda h: h["tensors"].__setitem__(0, "w"),
+                                  lambda h: h["tensors"][0].pop("offset"),
+                                  lambda h: h["tensors"][0].update(offset=-8),
+                                  lambda h: h["tensors"][0].update(offset=8.0),
+                                  lambda h: h["tensors"][0].update(shape="x"),
+                                  lambda h: h["tensors"][0].update(shape=[2, -1]),
+                                  lambda h: h["tensors"][0].pop("name"),
+                                  lambda h: h["tensors"].append({**h["tensors"][0],
+                                                                 "kind": "weights"})],
+                         ids=["unknown-config-key", "no-vocab-size", "no-vocab",
+                              "tensors-not-a-list", "record-not-an-object", "no-offset",
+                              "negative-offset", "float-offset", "shape-not-a-list",
+                              "negative-dim", "no-name", "unknown-kind"])
 def test_translate_malformed_checkpoint_header_exits_1(dataset, tmp_path, capsys, edit):
     cfg = ModelConfig(vocab_size=9, d_model=8, ff_hidden=8, n_heads=2,
                       n_encoder_layers=1, n_decoder_layers=1)
@@ -198,23 +265,32 @@ def test_translate_malformed_checkpoint_header_exits_1(dataset, tmp_path, capsys
                           out, bad)
 
 
-@pytest.mark.parametrize("case", ["unknown-id", "cut-header", "cut-payload"])
+@pytest.mark.parametrize("case", ["unknown-id", "cut-header", "cut-payload",
+                                  "space-in-index", "non-integer-offset"])
 def test_train_bad_feature_archive_exits_1(dataset, tmp_path, capsys, case):
     arc = str(tmp_path / "data.feats")
     for suffix in ("", ".idx"):
         shutil.copy(os.path.join(dataset, "data.feats" + suffix), arc + suffix)
-    offsets = {u: int(o) for u, o in (line.split("\t") for line in open(arc + ".idx"))}
+    index = open(arc + ".idx").read().splitlines()
+    offsets = {u: int(o) for u, o in (line.split("\t") for line in index)}
     utt = max(offsets, key=offsets.get)  # the archive's last record
     if case == "unknown-id":
         utt = "nope"
-    else:
+    elif case.startswith("cut"):
         with open(arc, "r+b") as f:
             f.truncate(offsets[utt] + (4 if case == "cut-header" else 18))
+    else:
+        index[1] = (index[1].replace("\t", " ") if case == "space-in-index"
+                    else index[1].split("\t")[0] + "\tabc")
+        with open(arc + ".idx", "w") as f:
+            f.write("\n".join(index) + "\n")
+    names = ([arc + ".idx", "line 2"] if case in ("space-in-index", "non-integer-offset")
+             else [arc, repr(utt)])
     manifest = str(tmp_path / "manifest.tsv")
     write_manifest(manifest, [ManifestEntry(f"data.feats#{utt}", "abc", "abc", "L0", "train")])
     out = str(tmp_path / "model.ckpt")
     _exits_1_with_message(capsys, ["train", "--manifest", manifest, "--steps", "1",
-                                   "--save", out], out, arc, repr(utt))
+                                   "--save", out], out, *names)
 
 
 @pytest.mark.parametrize("beam", ["0", "-1"])
