@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import struct
 import wave
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +89,17 @@ def mel_spectrogram(samples: np.ndarray, utt_id: str = "") -> FeatureSequence:
 
 
 def normalize(fs: FeatureSequence) -> FeatureSequence:
-    """Zero mean, unit std over the whole matrix; std floored to guard silence."""
-    if fs.frames.size < 2:
+    """Zero mean, unit std over the whole matrix; std floored to guard silence.
+
+    The steps of ``np.mean`` and ``np.std``, written out so that the centred
+    matrix is computed once; the result is bit-identical to theirs.
+    """
+    x = fs.frames
+    if x.size < 2:
         raise ValueError("normalize needs at least 2 cells")
-    mu = fs.frames.mean()
-    sd = max(fs.frames.std(), 1e-8)
-    return FeatureSequence(fs.utt_id, (fs.frames - mu) / sd)
+    centred = x - x.sum() / x.size
+    sd = max(np.sqrt((centred * centred).sum() / x.size), 1e-8)
+    return FeatureSequence(fs.utt_id, centred / sd)
 
 
 def read_wav(path: str) -> np.ndarray:
@@ -113,45 +119,75 @@ def read_wav(path: str) -> np.ndarray:
 # Flat binary records: u32 T, u32 F (little-endian), then T*F float32.
 # The sidecar index (<archive>.idx) maps utterance id -> byte offset.
 
-def write_feature_archive(path: str, sequences: list[FeatureSequence]):
-    offsets = []
-    with open(path, "wb") as f:
-        for fs in sequences:
-            offsets.append((fs.utt_id, f.tell()))
-            t, fdim = fs.frames.shape
-            f.write(struct.pack("<II", t, fdim))
-            f.write(fs.frames.astype("<f4").tobytes())
-    with open(path + ".idx", "w", encoding="utf-8") as f:
-        for utt_id, off in offsets:
-            f.write(f"{utt_id}\t{off}\n")
+def write_feature_archive(path: str, sequences: Iterable[FeatureSequence]) -> int:
+    """Write each record and its index line as it arrives; returns the count.
+
+    Memory stays that of one utterance when ``sequences`` is a generator. If
+    the iteration raises, both files are removed and the error propagates.
+    """
+    n = 0
+    try:
+        with open(path, "wb") as f, open(path + ".idx", "w", encoding="utf-8") as idx:
+            for fs in sequences:
+                idx.write(f"{fs.utt_id}\t{f.tell()}\n")
+                t, fdim = fs.frames.shape
+                f.write(struct.pack("<II", t, fdim))
+                f.write(fs.frames.astype("<f4").tobytes())
+                n += 1
+    except BaseException:
+        for leftover in (path, path + ".idx"):
+            if os.path.exists(leftover):
+                os.remove(leftover)
+        raise
+    return n
 
 
 class FeatureArchive:
-    """Random access into a flat feature file via its sidecar index."""
+    """Random access into a flat feature file via its sidecar index.
+
+    The file opens on the first ``load`` and stays open until ``close``.
+    Offsets and record sizes are checked against the file size taken here,
+    before anything is read.
+    """
 
     def __init__(self, path: str):
         if not os.path.exists(path) or not os.path.exists(path + ".idx"):
             raise FileNotFoundError(f"feature archive {path} (or its .idx sidecar) not found")
         self.path = path
+        self.size = os.path.getsize(path)
         self.index: dict[str, int] = {}
+        self._file = None
         with open(path + ".idx", encoding="utf-8") as f:
             for n, line in enumerate(f, 1):
                 utt_id, tab, off = line.rstrip("\n").partition("\t")
                 if not (tab and off.isascii() and off.isdigit()):
                     raise ValueError(f"{path}.idx line {n}: expected "
                                      f"'<utterance id><tab><byte offset>', got {line!r}")
+                if int(off) > self.size:
+                    raise ValueError(f"{path}.idx line {n}: offset {off} is past the end "
+                                     f"of {path} ({self.size} bytes)")
                 self.index[utt_id] = int(off)
 
     def load(self, utt_id: str) -> FeatureSequence:
         if utt_id not in self.index:
             raise ValueError(f"feature archive {self.path} has no utterance {utt_id!r}")
-        with open(self.path, "rb") as f:
-            f.seek(self.index[utt_id])
-            head = f.read(8)
-            t, fdim = struct.unpack("<II", head) if len(head) == 8 else (0, 0)
-            payload = f.read(4 * t * fdim)
-        if len(head) < 8 or len(payload) < 4 * t * fdim:
-            raise ValueError(f"feature archive {self.path}: the record of utterance "
-                             f"{utt_id!r} is truncated")
-        frames = np.frombuffer(payload, dtype="<f4")
-        return FeatureSequence(utt_id, frames.reshape(t, fdim).astype(np.float64))
+        if self._file is None:
+            self._file = open(self.path, "rb")
+        off = self.index[utt_id]
+        self._file.seek(off)
+        head = self._file.read(8)
+        t, fdim = struct.unpack("<II", head) if len(head) == 8 else (0, 0)
+        n_bytes = 4 * t * fdim
+        if len(head) == 8 and n_bytes <= self.size - off - 8:
+            payload = self._file.read(n_bytes)
+            if len(payload) == n_bytes:
+                frames = np.frombuffer(payload, dtype="<f4").reshape(t, fdim)
+                return FeatureSequence(utt_id, frames.astype(np.float64))
+        raise ValueError(f"feature archive {self.path}: the record of utterance {utt_id!r} "
+                         f"is truncated (it claims {t}x{fdim} frames; "
+                         f"{self.size - off} bytes remain)")
+
+    def close(self):
+        if self._file is not None:
+            self._file.close()
+            self._file = None

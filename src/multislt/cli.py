@@ -110,17 +110,19 @@ def cmd_extract(args) -> int:
     entries = read_manifest(args.manifest, check_files=True)
     base = os.path.dirname(os.path.abspath(args.manifest))
     os.makedirs(args.out_dir, exist_ok=True)
-    sequences = []
     new_entries = []
-    for e in entries:
-        path = e.audio_path if os.path.isabs(e.audio_path) else os.path.join(base, e.audio_path)
-        fs = mel_spectrogram(read_wav(path), e.utt_id)
-        sequences.append(fs)
-        new_entries.append(ManifestEntry(f"data.feats#{e.utt_id}", e.transcript,
-                                         e.target_text, e.lang, e.split))
-    write_feature_archive(os.path.join(args.out_dir, "data.feats"), sequences)
+
+    def utterances():
+        for e in entries:
+            path = e.audio_path if os.path.isabs(e.audio_path) else os.path.join(base, e.audio_path)
+            fs = mel_spectrogram(read_wav(path), e.utt_id)
+            new_entries.append(ManifestEntry(f"data.feats#{e.utt_id}", e.transcript,
+                                             e.target_text, e.lang, e.split))
+            yield fs
+
+    n = write_feature_archive(os.path.join(args.out_dir, "data.feats"), utterances())
     write_manifest(os.path.join(args.out_dir, "manifest.tsv"), new_entries)
-    print(f"extracted {len(sequences)} utterances -> {args.out_dir}")
+    print(f"extracted {n} utterances -> {args.out_dir}")
     return 0
 
 

@@ -50,17 +50,18 @@ class ModelConfig:
 
     def __post_init__(self):
         self.languages = tuple(self.languages)
+        for name in ("vocab_size", "d_model", "ff_hidden", "n_encoder_layers",
+                     "n_decoder_layers", "n_heads", "n_mels", "frontend_channels",
+                     "sa2d_channels", "sa2d_out_channels"):
+            value = getattr(self, name)
+            if not (type(value) is int and value > 0):
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
         if self.d_model % self.n_heads:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.forcing_mode not in MODES or self.forcing_site not in SITES:
             raise ValueError(f"bad forcing {self.forcing_mode!r}/{self.forcing_site!r}")
         if self.forcing_mode != "none" and not self.languages:
             raise ValueError("forcing enabled but no languages configured")
-        for name in ("vocab_size", "d_model", "ff_hidden", "n_encoder_layers",
-                     "n_decoder_layers", "n_heads", "n_mels", "frontend_channels",
-                     "sa2d_channels", "sa2d_out_channels"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
     @classmethod
     def desk(cls, vocab_size: int, languages=(), **overrides) -> "ModelConfig":

@@ -80,6 +80,9 @@ def synth_dataset(out_dir: str, seed: int, n_utt_per_lang: int,
                   noise_sigma: float = 0.05):
     """Write manifest.tsv and data.feats(+.idx); byte-identical per seed.
 
+    Utterances are rendered and written one at a time, so memory does not
+    grow with ``n_utt_per_lang`` beyond the manifest rows.
+
     Returns (manifest_path, entries). Split tags: first 90% train, then 5%
     dev, rest test (per language, in generation order).
     """
@@ -87,22 +90,24 @@ def synth_dataset(out_dir: str, seed: int, n_utt_per_lang: int,
     patterns = token_patterns(seed, token_vocab)
     rng = np.random.default_rng((seed, 1))
     entries: list[ManifestEntry] = []
-    sequences: list[FeatureSequence] = []
     n_train = int(n_utt_per_lang * SPLITS[0])
     n_dev = int(n_utt_per_lang * SPLITS[1])
-    for lang in languages:
-        for i in range(n_utt_per_lang):
-            length = int(rng.integers(LEN_RANGE[0], LEN_RANGE[1] + 1))
-            tokens = [int(t) for t in rng.integers(0, token_vocab, length)]
-            frames = render_audio(tokens, patterns, noise_sigma, rng)
-            utt_id = f"{lang.lang_id}_{i:06d}"
-            sequences.append(FeatureSequence(utt_id, frames))
-            transcript = "".join(SOURCE_LETTERS[t] for t in tokens)
-            target = lang.render(lang.apply(tokens, token_vocab))
-            split = "train" if i < n_train else ("dev" if i < n_train + n_dev else "test")
-            entries.append(ManifestEntry(f"data.feats#{utt_id}", transcript,
-                                         target, lang.lang_id, split))
-    write_feature_archive(os.path.join(out_dir, "data.feats"), sequences)
+
+    def utterances():
+        for lang in languages:
+            for i in range(n_utt_per_lang):
+                length = int(rng.integers(LEN_RANGE[0], LEN_RANGE[1] + 1))
+                tokens = [int(t) for t in rng.integers(0, token_vocab, length)]
+                frames = render_audio(tokens, patterns, noise_sigma, rng)
+                utt_id = f"{lang.lang_id}_{i:06d}"
+                transcript = "".join(SOURCE_LETTERS[t] for t in tokens)
+                target = lang.render(lang.apply(tokens, token_vocab))
+                split = "train" if i < n_train else ("dev" if i < n_train + n_dev else "test")
+                entries.append(ManifestEntry(f"data.feats#{utt_id}", transcript,
+                                             target, lang.lang_id, split))
+                yield FeatureSequence(utt_id, frames)
+
+    write_feature_archive(os.path.join(out_dir, "data.feats"), utterances())
     manifest_path = os.path.join(out_dir, "manifest.tsv")
     write_manifest(manifest_path, entries)
     return manifest_path, entries

@@ -101,31 +101,36 @@ def load_examples(entries: list[ManifestEntry], vocab: Vocabulary,
                   base_dir: str = ".", split: str | None = None) -> list[Example]:
     """Materialize normalized features and target ids for manifest rows.
 
-    ``archive.feats#utt`` paths read from feature archives (cached);
-    plain paths are WAV files run through the MEL pipeline.
+    ``archive.feats#utt`` paths read from feature archives, each opened
+    once and closed on return or error; plain paths are WAV files run
+    through the MEL pipeline.
     """
     from .audio import FeatureArchive, mel_spectrogram, normalize, read_wav
 
     archives: dict[str, FeatureArchive] = {}
     out = []
-    for e in entries:
-        if split is not None and e.split != split:
-            continue
-        if "#" in e.audio_path:
-            arc_path, utt_id = e.audio_path.split("#", 1)
-            if not os.path.isabs(arc_path):
-                arc_path = os.path.join(base_dir, arc_path)
-            if arc_path not in archives:
-                archives[arc_path] = FeatureArchive(arc_path)
-            fs = archives[arc_path].load(utt_id)
-        else:
-            path = e.audio_path
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            fs = mel_spectrogram(read_wav(path), e.utt_id)
-        fs = normalize(fs)
-        out.append(Example(fs.utt_id, fs.frames,
-                           vocab.encode(e.target_text, add_bos_eos=False), e.lang))
+    try:
+        for e in entries:
+            if split is not None and e.split != split:
+                continue
+            if "#" in e.audio_path:
+                arc_path, utt_id = e.audio_path.split("#", 1)
+                if not os.path.isabs(arc_path):
+                    arc_path = os.path.join(base_dir, arc_path)
+                if arc_path not in archives:
+                    archives[arc_path] = FeatureArchive(arc_path)
+                fs = archives[arc_path].load(utt_id)
+            else:
+                path = e.audio_path
+                if not os.path.isabs(path):
+                    path = os.path.join(base_dir, path)
+                fs = mel_spectrogram(read_wav(path), e.utt_id)
+            fs = normalize(fs)
+            out.append(Example(fs.utt_id, fs.frames,
+                               vocab.encode(e.target_text, add_bos_eos=False), e.lang))
+    finally:
+        for archive in archives.values():
+            archive.close()
     return out
 
 
@@ -324,6 +329,11 @@ def read_checkpoint(path: str) -> tuple[dict, dict[tuple[str, str], np.ndarray]]
 def load_checkpoint(path: str, seed: int = 0):
     """Rebuild (model, vocab, adam state) from a checkpoint file."""
     header, tensors = read_checkpoint(path)
+    a = header["adam"]
+    if a is not None and not (isinstance(a, dict) and type(a.get("step")) is int and all(
+            type(a.get(k)) in (int, float) for k in ("beta1", "beta2", "eps"))):
+        raise CheckpointError(f"{path}: bad header: adam must be null or an object with "
+                              f"numeric beta1, beta2 and eps and an int step, got {a!r}")
     try:
         cfg = ModelConfig(**header["config"])
         vocab = Vocabulary(header["vocab"])
@@ -340,8 +350,7 @@ def load_checkpoint(path: str, seed: int = 0):
     except (KeyError, ValueError) as e:
         raise CheckpointError(f"{path}: {e}") from e
     state = None
-    if header["adam"] is not None:
-        a = header["adam"]
+    if a is not None:
         state = AdamState(beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"], step=a["step"])
         state.m = {name: arr for (name, kind), arr in tensors.items() if kind == "adam_m"}
         state.v = {name: arr for (name, kind), arr in tensors.items() if kind == "adam_v"}

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,4 +103,89 @@ def test_feature_archive_missing_sidecar(tmp_path):
     path = str(tmp_path / "y.feats")
     open(path, "wb").close()
     with pytest.raises(FileNotFoundError):
+        audio.FeatureArchive(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 90), st.integers(1, 50), st.floats(-50, 50), st.floats(1e-3, 20),
+       st.integers(0, 2**32 - 1), st.sampled_from(["normal", "float32", "constant"]))
+def test_normalize_equals_numpy_mean_std(t, f, loc, scale, seed, kind):
+    x = np.random.default_rng(seed).normal(loc, scale, (t, f))
+    if kind == "float32":
+        x = x.astype(np.float32).astype(np.float64)
+    elif kind == "constant":
+        x = np.full((t, f), loc)
+    if x.size < 2:
+        return
+    want = (x - x.mean()) / max(x.std(), 1e-8)
+    assert np.array_equal(normalize(FeatureSequence("u", x)).frames, want)
+
+
+def _sequences(n=4):
+    rng = np.random.default_rng(4)
+    return [FeatureSequence(f"utt{i}", rng.normal(size=(5 + i, 40))) for i in range(n)]
+
+
+def test_write_feature_archive_generator_equals_list(tmp_path):
+    seqs = _sequences()
+    a, b = str(tmp_path / "a.feats"), str(tmp_path / "b.feats")
+    assert audio.write_feature_archive(a, seqs) == 4
+    assert audio.write_feature_archive(b, (fs for fs in seqs)) == 4
+    for suffix in ("", ".idx"):
+        assert open(a + suffix, "rb").read() == open(b + suffix, "rb").read()
+
+
+def test_write_feature_archive_removes_files_when_iteration_fails(tmp_path):
+    path = str(tmp_path / "x.feats")
+
+    def failing():
+        yield from _sequences(2)
+        raise audio.AudioFormatError("bad wav")
+
+    with pytest.raises(audio.AudioFormatError):
+        audio.write_feature_archive(path, failing())
+    assert not (tmp_path / "x.feats").exists() and not (tmp_path / "x.feats.idx").exists()
+
+
+def test_feature_archive_reopens_after_close(tmp_path):
+    seqs = _sequences()
+    path = str(tmp_path / "x.feats")
+    audio.write_feature_archive(path, seqs)
+    arc = audio.FeatureArchive(path)
+    first = arc.load("utt2").frames
+    handle = arc._file
+    arc.close()
+    assert handle.closed
+    np.testing.assert_array_equal(arc.load("utt2").frames, first)
+    arc.close()
+
+
+def test_feature_archive_huge_record_header_rejected_before_reading(tmp_path):
+    import time
+    import tracemalloc
+
+    path = str(tmp_path / "x.feats")
+    audio.write_feature_archive(path, _sequences())
+    with open(path, "r+b") as f:
+        f.write(struct.pack("<I", 10**9))  # utt0 now claims 10^9 frames of 40
+    arc = audio.FeatureArchive(path)
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{re.escape(path)}.*'utt0'.*truncated"):
+            arc.load("utt0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        arc.close()
+    assert peak < 1_000_000 and time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("offset", [10**4, 10**30])
+def test_feature_archive_offset_past_end_rejected_at_parse(tmp_path, offset):
+    path = str(tmp_path / "x.feats")
+    audio.write_feature_archive(path, _sequences())
+    with open(path + ".idx", "a") as f:
+        f.write(f"far\t{offset}\n")
+    with pytest.raises(ValueError, match=f"{re.escape(path)}.idx line 5: offset {offset} is past"):
         audio.FeatureArchive(path)

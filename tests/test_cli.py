@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import warnings
+import wave
 
 import numpy as np
 import pytest
@@ -248,11 +249,18 @@ def _exits_1_with_message(capsys, argv, out, *names):
                                   lambda h: h["tensors"][0].update(shape=[2, -1]),
                                   lambda h: h["tensors"][0].pop("name"),
                                   lambda h: h["tensors"].append({**h["tensors"][0],
-                                                                 "kind": "weights"})],
+                                                                 "kind": "weights"}),
+                                  lambda h: h.update(adam={}),
+                                  lambda h: h.update(adam=[]),
+                                  lambda h: h.update(adam={"beta1": "x", "beta2": 0.98,
+                                                           "eps": 1e-9, "step": 0}),
+                                  lambda h: h["config"].update(n_heads=0),
+                                  lambda h: h["config"].update(d_model="8")],
                          ids=["unknown-config-key", "no-vocab-size", "no-vocab",
                               "tensors-not-a-list", "record-not-an-object", "no-offset",
                               "negative-offset", "float-offset", "shape-not-a-list",
-                              "negative-dim", "no-name", "unknown-kind"])
+                              "negative-dim", "no-name", "unknown-kind", "adam-empty",
+                              "adam-list", "adam-string-beta1", "zero-heads", "string-size"])
 def test_translate_malformed_checkpoint_header_exits_1(dataset, tmp_path, capsys, edit):
     cfg = ModelConfig(vocab_size=9, d_model=8, ff_hidden=8, n_heads=2,
                       n_encoder_layers=1, n_decoder_layers=1)
@@ -291,6 +299,31 @@ def test_train_bad_feature_archive_exits_1(dataset, tmp_path, capsys, case):
     out = str(tmp_path / "model.ckpt")
     _exits_1_with_message(capsys, ["train", "--manifest", manifest, "--steps", "1",
                                    "--save", out], out, *names)
+
+
+@pytest.mark.parametrize("case", ["huge-record", "offset-past-end"])
+def test_translate_bad_feature_archive_exits_1(dataset, tmp_path, capsys, case):
+    arc = str(tmp_path / "data.feats")
+    for suffix in ("", ".idx"):
+        shutil.copy(os.path.join(dataset, "data.feats" + suffix), arc + suffix)
+    utt = open(arc + ".idx").readline().split("\t")[0]
+    if case == "huge-record":
+        with open(arc, "r+b") as f:
+            f.write((10**9).to_bytes(4, "little"))  # the first record claims 10^9 frames
+        names = [arc, repr(utt)]
+    else:
+        with open(arc + ".idx", "a") as f:
+            f.write(f"far\t{10**30}\n")
+        names = [arc + ".idx", "past the end"]
+    manifest = str(tmp_path / "manifest.tsv")
+    write_manifest(manifest, [ManifestEntry(f"data.feats#{utt}", "abc", "abc", "L0", "test")])
+    ckpt = str(tmp_path / "model.ckpt")
+    cfg = ModelConfig(vocab_size=9, d_model=8, ff_hidden=8, n_heads=2,
+                      n_encoder_layers=1, n_decoder_layers=1)
+    save_checkpoint(ckpt, SpeechTransformer(cfg), Vocabulary("abcde"))
+    out = str(tmp_path / "hyp.tsv")
+    _exits_1_with_message(capsys, ["translate", "--checkpoint", ckpt, "--manifest", manifest,
+                                   "--out", out], out, *names)
 
 
 @pytest.mark.parametrize("beam", ["0", "-1"])
@@ -336,6 +369,24 @@ def test_extract_from_wavs(tmp_path):
     entries = read_manifest(os.path.join(out, "manifest.tsv"))
     assert len(entries) == 3
     assert entries[0].audio_path == "data.feats#u0"
+
+
+def test_extract_bad_wav_leaves_no_archive(tmp_path, capsys):
+    rows = []
+    for i, rate in enumerate((16000, 16000, 8000)):
+        p = str(tmp_path / f"u{i}.wav")
+        with wave.open(p, "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(rate)
+            w.writeframes(b"\x01\x00" * 6000)
+        rows.append(f"{p}\tabc\tABC\tL0\ttrain")
+    src = tmp_path / "manifest.tsv"
+    src.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "feat"
+    _exits_1_with_message(capsys, ["extract", "--manifest", str(src), "--out-dir", str(out)],
+                          str(out / "manifest.tsv"), "u2.wav", "sample rate 8000")
+    assert sorted(os.listdir(out)) == []
 
 
 def test_gradcheck_subcommand_passes():

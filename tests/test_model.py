@@ -402,6 +402,15 @@ def test_config_validation():
         ModelConfig(vocab_size=10, forcing_mode="merge")
 
 
+@pytest.mark.parametrize("sizes, name", [({"n_heads": 0}, "n_heads"), ({"d_model": "8"}, "d_model"),
+                                         ({"n_heads": 2.0}, "n_heads"), ({"vocab_size": True}, "vocab_size")])
+def test_config_sizes_checked_before_arithmetic(sizes, name):
+    """A size that is not a positive int is named before ``d_model % n_heads``
+    runs, so ``n_heads=0`` is a ValueError, not a ZeroDivisionError."""
+    with pytest.raises(ValueError, match=f"{name} must be a positive int"):
+        ModelConfig(**{"vocab_size": 10, "d_model": 8, **sizes})
+
+
 def test_lang_required_when_forcing_enabled():
     m = make_model(forcing_mode="merge", forcing_site="pre", languages=("L0",))
     with pytest.raises(ValueError, match="languages"):

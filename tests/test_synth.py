@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,3 +74,36 @@ def test_language_count_bounds():
         default_languages(1)
     with pytest.raises(ValueError):
         default_languages(7)
+
+
+# sha256 of the files a fixed seed writes, taken from the program before the
+# archive was streamed; any change to the bytes is a change of the corpus.
+PINNED = {
+    (5, 2, 20): {"data.feats": "6f1820c14432e2cf1551aad4200f96c347a5e0c82c9b6a1fcae7193422a164f5",
+                 "data.feats.idx": "be9941e9ec3be26ef1f319dad442f91aaaf9b53c927fa1ea049fe2897fafc8eb",
+                 "manifest.tsv": "9fb7f32ae0ab549bd91e649c10d26112d6b0ad11990ae72bf554f7a54207e15e"},
+    (11, 3, 40): {"data.feats": "c4a5af4e16ce5ecd6588284ef2959117a5a5890c1e338f64b2bcdefbcda18cf7",
+                  "data.feats.idx": "62f8a78f651322626498b478ec79bbfb931d47a655007ce792711abda0a1c316",
+                  "manifest.tsv": "c0119b66deb1aaf5bf7fb00602e9cdb92e93b6299734e7b66afb571d8056480f"},
+}
+
+
+@pytest.mark.parametrize("seed, n_lang, n_utt", list(PINNED))
+def test_dataset_bytes_pinned(tmp_path, seed, n_lang, n_utt):
+    synth_dataset(str(tmp_path), seed=seed, n_utt_per_lang=n_utt,
+                  languages=default_languages(n_lang))
+    for name, digest in PINNED[seed, n_lang, n_utt].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_dataset_memory_does_not_grow_with_corpus(tmp_path):
+    """Utterances are written as they are rendered: at 3×1200 utterances
+    the traced peak is the manifest rows, not 3600 frame matrices (≈59 MB)."""
+    tracemalloc.start()
+    try:
+        synth_dataset(str(tmp_path), seed=1, n_utt_per_lang=1200,
+                      languages=default_languages(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000

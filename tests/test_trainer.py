@@ -10,8 +10,8 @@ from multislt.model import ModelConfig, SpeechTransformer
 from multislt.optim import AdamState, adam_step
 from multislt.tensor import Tensor
 from multislt.trainer import (Batch, BatchComposer, CheckpointError, Example,
-                              LRSchedule, batch_loss, load_checkpoint, lr_at,
-                              make_batch, mix_asr, save_checkpoint, train_step,
+                              LRSchedule, batch_loss, load_checkpoint, load_examples,
+                              lr_at, make_batch, mix_asr, save_checkpoint, train_step,
                               transfer_encoder)
 
 from helpers import V1_FIXTURE, rewrite_header
@@ -285,6 +285,43 @@ def test_checkpoint_malformed_header_names_file(tmp_path):
     open(bad, "wb").write(bytes(blob))
     with pytest.raises(CheckpointError, match="unreadable header"):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("adam", [{}, [], {"beta1": "x", "beta2": 0.98, "eps": 1e-9, "step": 3},
+                                  {"beta1": 0.9, "beta2": 0.98, "eps": 1e-9, "step": 3.0},
+                                  {"beta1": 0.9, "beta2": 0.98, "eps": True, "step": 3}],
+                         ids=["empty", "list", "string-beta1", "float-step", "bool-eps"])
+def test_checkpoint_bad_adam_header_rejected(tmp_path, adam):
+    path, bad = str(tmp_path / "a.ckpt"), str(tmp_path / "bad.ckpt")
+    save_checkpoint(path, _ckpt_model(), Vocabulary("abcde"), AdamState(step=3))
+    rewrite_header(path, bad, lambda h: h.update(adam=adam))
+    with pytest.raises(CheckpointError, match=f"{re.escape(bad)}.*adam"):
+        load_checkpoint(bad)
+
+
+def test_load_examples_closes_archive_on_malformed_record(tmp_path, monkeypatch):
+    from multislt import audio
+
+    opened = []
+
+    class Recorded(audio.FeatureArchive):
+        def __init__(self, path):
+            super().__init__(path)
+            opened.append(self)
+
+    monkeypatch.setattr(audio, "FeatureArchive", Recorded)
+    rng = np.random.default_rng(0)
+    arc = str(tmp_path / "data.feats")
+    audio.write_feature_archive(arc, [audio.FeatureSequence(u, rng.normal(size=(6, 40)))
+                                      for u in ("u0", "u1")])
+    with open(arc, "r+b") as f:
+        f.truncate(f.seek(0, 2) - 4)  # u1's payload is cut short
+    entries = [ManifestEntry(f"data.feats#{u}", "ab", "ab", "L0", "train") for u in ("u0", "u1")]
+    with pytest.raises(ValueError, match="'u1' is truncated"):
+        load_examples(entries, Vocabulary("ab"), base_dir=str(tmp_path))
+    assert len(opened) == 1 and opened[0]._file is None
+    assert len(load_examples(entries[:1], Vocabulary("ab"), base_dir=str(tmp_path))) == 1
+    assert len(opened) == 2 and opened[1]._file is None
 
 
 # version-1 checkpoints ---------------------------------------------------
