@@ -36,8 +36,9 @@ class FeatureSequence:
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2 or self.frames.shape[0] < 1:
-            raise ValueError(f"frames must be a T×F matrix with T >= 1, got {self.frames.shape}")
+        if self.frames.ndim != 2 or 0 in self.frames.shape:
+            raise ValueError(f"frames must be a T×F matrix with T, F >= 1, "
+                             f"got {self.frames.shape}")
 
 
 def hz_to_mel(f):
@@ -95,8 +96,6 @@ def normalize(fs: FeatureSequence) -> FeatureSequence:
     matrix is computed once; the result is bit-identical to theirs.
     """
     x = fs.frames
-    if x.size < 2:
-        raise ValueError("normalize needs at least 2 cells")
     centred = x - x.sum() / x.size
     sd = max(np.sqrt((centred * centred).sum() / x.size), 1e-8)
     return FeatureSequence(fs.utt_id, centred / sd)
@@ -145,9 +144,10 @@ def write_feature_archive(path: str, sequences: Iterable[FeatureSequence]) -> in
 class FeatureArchive:
     """Random access into a flat feature file via its sidecar index.
 
-    The file opens on the first ``load`` and stays open until ``close``.
     Offsets and record sizes are checked against the file size taken here,
-    before anything is read.
+    before anything is read. Each ``load`` and ``check`` opens the file and
+    closes it before returning, so no handle outlives a call and concurrent
+    loads share no file position.
     """
 
     def __init__(self, path: str):
@@ -156,38 +156,54 @@ class FeatureArchive:
         self.path = path
         self.size = os.path.getsize(path)
         self.index: dict[str, int] = {}
-        self._file = None
         with open(path + ".idx", encoding="utf-8") as f:
-            for n, line in enumerate(f, 1):
-                utt_id, tab, off = line.rstrip("\n").partition("\t")
-                if not (tab and off.isascii() and off.isdigit()):
-                    raise ValueError(f"{path}.idx line {n}: expected "
-                                     f"'<utterance id><tab><byte offset>', got {line!r}")
-                if int(off) > self.size:
-                    raise ValueError(f"{path}.idx line {n}: offset {off} is past the end "
-                                     f"of {path} ({self.size} bytes)")
-                self.index[utt_id] = int(off)
+            try:
+                for n, line in enumerate(f, 1):
+                    utt_id, tab, off = line.rstrip("\n").partition("\t")
+                    if not (tab and off.isascii() and off.isdigit()):
+                        raise ValueError(f"{path}.idx line {n}: expected "
+                                         f"'<utterance id><tab><byte offset>', got {line!r}")
+                    if int(off) > self.size:
+                        raise ValueError(f"{path}.idx line {n}: offset {off} is past the end "
+                                         f"of {path} ({self.size} bytes)")
+                    self.index[utt_id] = int(off)
+            except UnicodeDecodeError as e:
+                raise ValueError(f"{path}.idx: not UTF-8 text ({e})") from None
 
-    def load(self, utt_id: str) -> FeatureSequence:
+    def _header(self, f, utt_id: str) -> tuple[int, int]:
+        """Seek ``f`` to ``utt_id``'s record and read its (frames, features)
+        header, checked to be non-empty and to fit in the file."""
         if utt_id not in self.index:
             raise ValueError(f"feature archive {self.path} has no utterance {utt_id!r}")
-        if self._file is None:
-            self._file = open(self.path, "rb")
         off = self.index[utt_id]
-        self._file.seek(off)
-        head = self._file.read(8)
+        f.seek(off)
+        head = f.read(8)
         t, fdim = struct.unpack("<II", head) if len(head) == 8 else (0, 0)
-        n_bytes = 4 * t * fdim
-        if len(head) == 8 and n_bytes <= self.size - off - 8:
-            payload = self._file.read(n_bytes)
-            if len(payload) == n_bytes:
-                frames = np.frombuffer(payload, dtype="<f4").reshape(t, fdim)
-                return FeatureSequence(utt_id, frames.astype(np.float64))
-        raise ValueError(f"feature archive {self.path}: the record of utterance {utt_id!r} "
-                         f"is truncated (it claims {t}x{fdim} frames; "
-                         f"{self.size - off} bytes remain)")
+        if len(head) < 8 or 4 * t * fdim > self.size - off - 8:
+            raise ValueError(f"feature archive {self.path}: the record of utterance {utt_id!r} "
+                             f"is truncated (it claims {t}x{fdim} frames; "
+                             f"{self.size - off} bytes remain)")
+        if t == 0 or fdim == 0:
+            raise ValueError(f"feature archive {self.path}: the record of utterance {utt_id!r} "
+                             f"is empty (it claims {t}x{fdim} frames)")
+        return t, fdim
 
-    def close(self):
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+    def check(self, utt_ids: Iterable[str]):
+        """Read and check the header of each named record, through one handle.
+
+        A missing, truncated, oversized or empty record raises ``ValueError``
+        naming the archive and the utterance; no payload is read.
+        """
+        with open(self.path, "rb") as f:
+            for utt_id in utt_ids:
+                self._header(f, utt_id)
+
+    def load(self, utt_id: str) -> FeatureSequence:
+        with open(self.path, "rb") as f:
+            t, fdim = self._header(f, utt_id)
+            payload = f.read(4 * t * fdim)
+        if len(payload) < 4 * t * fdim:
+            raise ValueError(f"feature archive {self.path}: the record of utterance {utt_id!r} "
+                             f"is truncated (the file shrank below {self.size} bytes)")
+        frames = np.frombuffer(payload, dtype="<f4").reshape(t, fdim)
+        return FeatureSequence(utt_id, frames.astype(np.float64))

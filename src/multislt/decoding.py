@@ -117,8 +117,10 @@ def decode_split(model: SpeechTransformer, vocab: Vocabulary, entries: list[Mani
                  base_dir: str, split: str, beam: int = 1, max_len: int = 200,
                  workers: int = 1) -> tuple[list[Example], list[Hypothesis]]:
     """Load the ``split`` rows of ``entries`` (paths relative to ``base_dir``)
-    and decode them with the model in eval mode: (examples, hypotheses)."""
+    and decode them with the model in eval mode: (examples, hypotheses).
+
+    With one worker, each utterance's features are read as it is decoded."""
     model.eval()
     examples = load_examples(entries, vocab, base_dir=base_dir, split=split)
-    return examples, decode_corpus(model, vocab, [(ex.features, ex.lang) for ex in examples],
+    return examples, decode_corpus(model, vocab, ((ex.features, ex.lang) for ex in examples),
                                    beam=beam, max_len=max_len, workers=workers)

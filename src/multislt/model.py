@@ -315,6 +315,19 @@ def _forcing_width(cfg: ModelConfig) -> int:
     return cfg.d_model  # final and decoder sites
 
 
+def size_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shapes of the parameters that pin each size of ``cfg`` except
+    ``n_heads`` (a divisor of ``d_model``) and the layer counts, worked out
+    without building the model."""
+    c, freq = cfg.sa2d_channels, ceil_div(ceil_div(cfg.n_mels, 2), 2)
+    return {"decoder.embed.weight": (cfg.vocab_size, cfg.d_model),
+            "decoder.layers.0.ff.w1.weight": (cfg.d_model, cfg.ff_hidden),
+            "encoder.front1.weight": (cfg.frontend_channels, 1, 3, 3),
+            "encoder.sa2d1.qkv.weight": (3 * c, cfg.frontend_channels, 3, 3),
+            "encoder.sa2d1.out.weight": (cfg.sa2d_out_channels, 2 * c, 3, 3),
+            "encoder.proj.weight": (cfg.sa2d_out_channels * freq, cfg.d_model)}
+
+
 class SpeechTransformer(Module):
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         super().__init__()

@@ -4,21 +4,24 @@ a ``RunConfig`` that the CLI and ``run_toy_experiment`` share."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import re
 import struct
 import time
+from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import audio
 from . import tensor as T
 from .manifest import (BOS_ID, EOS_ID, PAD_ID, ManifestEntry, Vocabulary, build_vocab,
                        read_manifest)
-from .model import DESK, ModelConfig, SpeechTransformer
+from .model import DESK, ModelConfig, SpeechTransformer, size_shapes
 from .optim import AdamState, adam_step
 from .tensor import Tensor
 
@@ -47,10 +50,24 @@ def lr_at(step: int, sched: LRSchedule) -> float:
 
 @dataclass
 class Example:
+    """One utterance: normalized T×F ``features``, ``target_ids`` without
+    bos/eos, and its target language.
+
+    ``source`` is the feature matrix, or a zero-argument loader that returns
+    it. ``load_examples`` gives each archive row a loader, so the example
+    holds no frames and ``features`` reads and normalizes the record on each
+    access; a caller that needs the matrix twice keeps what one access
+    returned.
+    """
+
     utt_id: str
-    features: np.ndarray  # normalized T×F
-    target_ids: list[int]  # no bos/eos
+    source: np.ndarray | Callable[[], np.ndarray]
+    target_ids: list[int]
     lang: str
+
+    @property
+    def features(self) -> np.ndarray:
+        return self.source() if callable(self.source) else self.source
 
 
 @dataclass
@@ -77,16 +94,17 @@ class Batch:
 
 
 def make_batch(examples: list[Example]) -> Batch:
-    t_max = max(e.features.shape[0] for e in examples)
-    n_feat = examples[0].features.shape[1]
+    """Pad the examples into one batch, reading each one's features once."""
+    features = [e.features for e in examples]
+    t_max = max(f.shape[0] for f in features)
     l_max = max(len(e.target_ids) for e in examples) + 1
-    feats = np.zeros((len(examples), t_max, n_feat))
+    feats = np.zeros((len(examples), t_max, features[0].shape[1]))
     lengths = np.zeros(len(examples), dtype=np.int64)
     prefix = np.full((len(examples), l_max), PAD_ID, dtype=np.int64)
     labels = np.full((len(examples), l_max), PAD_ID, dtype=np.int64)
-    for i, e in enumerate(examples):
-        t = e.features.shape[0]
-        feats[i, :t] = e.features
+    for i, (e, f) in enumerate(zip(examples, features)):
+        t = f.shape[0]
+        feats[i, :t] = f
         lengths[i] = t
         ids = e.target_ids
         prefix[i, 0] = BOS_ID
@@ -97,40 +115,45 @@ def make_batch(examples: list[Example]) -> Batch:
                  [e.lang for e in examples], [e.utt_id for e in examples])
 
 
+def _archive_features(archive: audio.FeatureArchive, utt_id: str) -> np.ndarray:
+    return audio.normalize(archive.load(utt_id)).frames
+
+
 def load_examples(entries: list[ManifestEntry], vocab: Vocabulary,
                   base_dir: str = ".", split: str | None = None) -> list[Example]:
-    """Materialize normalized features and target ids for manifest rows.
+    """Target ids and normalized features for manifest rows.
 
-    ``archive.feats#utt`` paths read from feature archives, each opened
-    once and closed on return or error; plain paths are WAV files run
-    through the MEL pipeline.
+    ``archive.feats#utt`` rows are read on demand: each ``Example.features``
+    access loads and normalizes the record, so memory does not grow with the
+    corpus. Only the records' headers are read here, so a missing, truncated,
+    oversized or empty record fails now, naming the archive and utterance.
+    Plain paths are WAV files, run through the MEL pipeline here and kept in
+    memory; ``multislt extract`` turns a large WAV corpus into an archive.
     """
-    from .audio import FeatureArchive, mel_spectrogram, normalize, read_wav
-
-    archives: dict[str, FeatureArchive] = {}
+    archives: dict[str, tuple[audio.FeatureArchive, list[str]]] = {}
     out = []
-    try:
-        for e in entries:
-            if split is not None and e.split != split:
-                continue
-            if "#" in e.audio_path:
-                arc_path, utt_id = e.audio_path.split("#", 1)
-                if not os.path.isabs(arc_path):
-                    arc_path = os.path.join(base_dir, arc_path)
-                if arc_path not in archives:
-                    archives[arc_path] = FeatureArchive(arc_path)
-                fs = archives[arc_path].load(utt_id)
-            else:
-                path = e.audio_path
-                if not os.path.isabs(path):
-                    path = os.path.join(base_dir, path)
-                fs = mel_spectrogram(read_wav(path), e.utt_id)
-            fs = normalize(fs)
-            out.append(Example(fs.utt_id, fs.frames,
-                               vocab.encode(e.target_text, add_bos_eos=False), e.lang))
-    finally:
-        for archive in archives.values():
-            archive.close()
+    for e in entries:
+        if split is not None and e.split != split:
+            continue
+        target_ids = vocab.encode(e.target_text, add_bos_eos=False)
+        if "#" in e.audio_path:
+            arc_path, utt_id = e.audio_path.split("#", 1)
+            if not os.path.isabs(arc_path):
+                arc_path = os.path.join(base_dir, arc_path)
+            if arc_path not in archives:
+                archives[arc_path] = (audio.FeatureArchive(arc_path), [])
+            archive, utt_ids = archives[arc_path]
+            utt_ids.append(utt_id)
+            out.append(Example(utt_id, functools.partial(_archive_features, archive, utt_id),
+                               target_ids, e.lang))
+        else:
+            path = e.audio_path
+            if not os.path.isabs(path):
+                path = os.path.join(base_dir, path)
+            fs = audio.normalize(audio.mel_spectrogram(audio.read_wav(path), e.utt_id))
+            out.append(Example(fs.utt_id, fs.frames, target_ids, e.lang))
+    for archive, utt_ids in archives.values():
+        archive.check(utt_ids)
     return out
 
 
@@ -326,6 +349,23 @@ def read_checkpoint(path: str) -> tuple[dict, dict[tuple[str, str], np.ndarray]]
     return header, tensors
 
 
+def _check_sizes(path: str, cfg: ModelConfig, tensors: dict):
+    """Check the config's sizes against the tensor records that show them,
+    so a header that claims a larger model fails before one is built."""
+    for stack, n in (("encoder", cfg.n_encoder_layers), ("decoder", cfg.n_decoder_layers)):
+        found = {int(m[1]) for name, _ in tensors
+                 if (m := re.match(rf"{stack}\.layers\.(\d+)\.", name))}
+        if len(found) != n or found != set(range(n)):
+            raise CheckpointError(f"{path}: config n_{stack}_layers {n} does not match "
+                                  f"the {len(found)} {stack} layers of its tensors")
+    for name, shape in size_shapes(cfg).items():
+        arr = tensors.get((name, "param"))
+        if arr is None or arr.shape != shape:
+            found = "is missing" if arr is None else f"has shape {arr.shape}"
+            raise CheckpointError(f"{path}: config sizes give {name} shape {shape}, "
+                                  f"but its tensor record {found}")
+
+
 def load_checkpoint(path: str, seed: int = 0):
     """Rebuild (model, vocab, adam state) from a checkpoint file."""
     header, tensors = read_checkpoint(path)
@@ -342,6 +382,7 @@ def load_checkpoint(path: str, seed: int = 0):
     if len(vocab) != cfg.vocab_size:
         raise CheckpointError(f"{path}: vocab size {len(vocab)} does not match "
                               f"config vocab_size {cfg.vocab_size}")
+    _check_sizes(path, cfg, tensors)
     model = SpeechTransformer(cfg, seed=seed)
     state_dict = {name: arr for (name, kind), arr in tensors.items()
                   if kind in ("param", "buffer")}

@@ -35,3 +35,17 @@ def rewrite_header(src: str, dst: str, edit):
     new = json.dumps(header).encode("utf-8")
     with open(dst, "wb") as f:
         f.write(blob[:12] + struct.pack("<Q", len(new)) + new + blob[20 + hlen:])
+
+
+def record_opens(monkeypatch, module) -> list:
+    """Every file that ``module`` opens from now on, in order; ``module``'s
+    own ``open`` is replaced, the builtin is left alone."""
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        f = open(*args, **kwargs)
+        opened.append(f)
+        return f
+
+    monkeypatch.setattr(module, "open", recording_open, raising=False)
+    return opened

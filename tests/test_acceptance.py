@@ -6,6 +6,7 @@ task end to end and is the slow test in the suite (several minutes).
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,15 +338,15 @@ def test_criterion_9_checkpoint_round_trip(tmp_path):
     save_checkpoint(p1, m, Vocabulary("abcde"), state)
     m2, vocab2, state2 = load_checkpoint(p1)
     save_checkpoint(p2, m2, vocab2, state2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
-    blob = open(p1, "rb").read()
+    blob = Path(p1).read_bytes()
     trunc = str(tmp_path / "t.ckpt")
-    open(trunc, "wb").write(blob[:len(blob) - 100])
+    Path(trunc).write_bytes(blob[:len(blob) - 100])
     with pytest.raises(CheckpointError):
         load_checkpoint(trunc)
     corrupt = str(tmp_path / "c.ckpt")
-    open(corrupt, "wb").write(b"XXXX" + blob[4:])
+    Path(corrupt).write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(CheckpointError):
         load_checkpoint(corrupt)
 

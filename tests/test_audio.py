@@ -1,5 +1,6 @@
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from multislt import audio
 from multislt.audio import FeatureSequence, mel_spectrogram, normalize
 
-from helpers import write_wav
+from helpers import record_opens, write_wav
 
 
 def test_one_second_gives_98_frames():
@@ -126,13 +127,19 @@ def _sequences(n=4):
     return [FeatureSequence(f"utt{i}", rng.normal(size=(5 + i, 40))) for i in range(n)]
 
 
+def _record_offset(i: int) -> int:
+    """Where record i of an archive of ``_sequences()`` starts: record j is
+    an 8-byte header and (5 + j)×40 float32 frames."""
+    return sum(8 + 4 * 40 * (5 + j) for j in range(i))
+
+
 def test_write_feature_archive_generator_equals_list(tmp_path):
     seqs = _sequences()
     a, b = str(tmp_path / "a.feats"), str(tmp_path / "b.feats")
     assert audio.write_feature_archive(a, seqs) == 4
     assert audio.write_feature_archive(b, (fs for fs in seqs)) == 4
     for suffix in ("", ".idx"):
-        assert open(a + suffix, "rb").read() == open(b + suffix, "rb").read()
+        assert Path(a + suffix).read_bytes() == Path(b + suffix).read_bytes()
 
 
 def test_write_feature_archive_removes_files_when_iteration_fails(tmp_path):
@@ -147,17 +154,16 @@ def test_write_feature_archive_removes_files_when_iteration_fails(tmp_path):
     assert not (tmp_path / "x.feats").exists() and not (tmp_path / "x.feats.idx").exists()
 
 
-def test_feature_archive_reopens_after_close(tmp_path):
+def test_feature_archive_load_leaves_no_open_handle(tmp_path, monkeypatch):
     seqs = _sequences()
     path = str(tmp_path / "x.feats")
     audio.write_feature_archive(path, seqs)
     arc = audio.FeatureArchive(path)
+    opened = record_opens(monkeypatch, audio)
     first = arc.load("utt2").frames
-    handle = arc._file
-    arc.close()
-    assert handle.closed
+    arc.check(["utt0", "utt3"])
     np.testing.assert_array_equal(arc.load("utt2").frames, first)
-    arc.close()
+    assert len(opened) == 3 and all(f.closed for f in opened)
 
 
 def test_feature_archive_huge_record_header_rejected_before_reading(tmp_path):
@@ -177,8 +183,28 @@ def test_feature_archive_huge_record_header_rejected_before_reading(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        arc.close()
     assert peak < 1_000_000 and time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("field", [0, 1], ids=["frames", "features"])
+def test_feature_archive_empty_record_rejected(tmp_path, field):
+    from multislt.manifest import ManifestEntry, Vocabulary
+    from multislt.trainer import load_examples
+
+    path = str(tmp_path / "x.feats")
+    audio.write_feature_archive(path, _sequences())
+    with open(path, "r+b") as f:
+        f.seek(_record_offset(2) + 4 * field)
+        f.write(bytes(4))  # utt2 now claims 0 frames, or 0 features
+    arc = audio.FeatureArchive(path)
+    message = f"{re.escape(path)}.*'utt2' is empty"
+    with pytest.raises(ValueError, match=message):
+        arc.load("utt2")
+    with pytest.raises(ValueError, match=message):
+        arc.check(["utt0", "utt2"])
+    entries = [ManifestEntry(f"x.feats#utt{i}", "ab", "ab", "L0", "train") for i in range(4)]
+    with pytest.raises(ValueError, match=message):
+        load_examples(entries, Vocabulary("ab"), base_dir=str(tmp_path))
 
 
 @pytest.mark.parametrize("offset", [10**4, 10**30])
@@ -189,3 +215,49 @@ def test_feature_archive_offset_past_end_rejected_at_parse(tmp_path, offset):
         f.write(f"far\t{offset}\n")
     with pytest.raises(ValueError, match=f"{re.escape(path)}.idx line 5: offset {offset} is past"):
         audio.FeatureArchive(path)
+
+
+def _flip(blob: bytes, flips) -> bytes:
+    out = bytearray(blob)
+    for pos, value in flips:
+        out[pos % len(out)] = value
+    return bytes(out)
+
+
+_POSITION = st.one_of(st.builds(lambda i, b: _record_offset(i) + b,
+                                st.integers(0, 5), st.integers(0, 7)),
+                      st.integers(0, 2**16))
+_FLIPS = st.lists(st.tuples(_POSITION, st.integers(0, 255)), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", ".idx"]), _FLIPS)
+def test_flipped_archive_bytes_raise_only_value_error_naming_it(tmp_path_factory, suffix, flips):
+    """Random bytes of a small archive or its index overwritten: reading every
+    record either works or raises ValueError naming the archive, within time
+    and memory bounds."""
+    import time
+    import tracemalloc
+
+    from multislt.manifest import ManifestEntry, Vocabulary
+    from multislt.trainer import load_examples
+
+    tmp = tmp_path_factory.mktemp("flip")
+    path = str(tmp / "x.feats")
+    audio.write_feature_archive(path, _sequences(6))
+    with open(path + suffix, "rb") as f:
+        blob = f.read()
+    with open(path + suffix, "wb") as f:
+        f.write(_flip(blob, flips))
+    entries = [ManifestEntry(f"x.feats#utt{i}", "ab", "ab", "L0", "train") for i in range(6)]
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        for ex in load_examples(entries, Vocabulary("ab"), base_dir=str(tmp)):
+            assert ex.features.ndim == 2
+    except ValueError as e:
+        assert path in str(e), e
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 1_000_000 and time.perf_counter() - t0 < 1.0

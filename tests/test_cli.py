@@ -4,6 +4,7 @@ import os
 import shutil
 import warnings
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def test_train_saves_checkpoint_and_logs_config(dataset, tmp_path):
     assert code == 0
     header, _ = read_checkpoint(ckpt)
     assert header["config"]["forcing_mode"] == "merge"
-    lines = open(log, encoding="utf-8").read().splitlines()
+    lines = Path(log).read_text(encoding="utf-8").splitlines()
     rc = json.loads(lines[0][2:])  # "# {...}" header precedes step rows
     assert lines[0].startswith("# ")
     assert rc["seed"] == 1 and rc["forcing"] == "merge"
@@ -64,7 +65,7 @@ def test_config_file_flags_win(dataset, tmp_path):
                  "--accum", "1", "--seed", "0", "--log", log,
                  "--config", str(cfg)])
     assert code == 0
-    rc = json.loads(open(log, encoding="utf-8").readline()[2:])
+    rc = json.loads(Path(log).read_text(encoding="utf-8").splitlines()[0][2:])
     assert rc["steps"] == 1   # from file (flag not given)
     assert rc["seed"] == 0    # a given flag wins over file, even at its default
 
@@ -99,7 +100,7 @@ def test_asr_pretrain_has_no_forcing_flags(dataset, tmp_path):
     assert main(["train", "--manifest", manifest, "--data-dir", "/nope"]) == 1
     assert main(["asr-pretrain", "--manifest", manifest, "--steps", "1",
                  "--accum", "1", "--log", log]) == 0
-    rc = json.loads(open(log, encoding="utf-8").readline()[2:])
+    rc = json.loads(Path(log).read_text(encoding="utf-8").splitlines()[0][2:])
     assert rc["subcommand"] == "asr-pretrain"
     assert rc["forcing"] == "none" and rc["mix_asr"] is False
 
@@ -119,9 +120,9 @@ def test_log_header_reruns_the_run(dataset, tmp_path, command):
     assert main([command, "--manifest", os.path.join(dataset, "manifest.tsv"), "--steps", "2",
                  "--accum", "1", "--seed", "3", "--log", logs[0]]) == 0
     cfg = tmp_path / "header.json"
-    cfg.write_text(open(logs[0], encoding="utf-8").readline()[2:])
+    cfg.write_text(Path(logs[0]).read_text(encoding="utf-8").splitlines()[0][2:])
     assert main([command, "--config", str(cfg), "--log", logs[1]]) == 0
-    (head1, *rows1), (head2, *rows2) = (open(p, encoding="utf-8").read().splitlines()
+    (head1, *rows1), (head2, *rows2) = (Path(p).read_text(encoding="utf-8").splitlines()
                                         for p in logs)
     rc1, rc2 = json.loads(head1[2:]), json.loads(head2[2:])
     assert rc2.pop("log") == logs[1] and rc1.pop("log") == logs[0]
@@ -144,13 +145,13 @@ def test_toy_experiment_runs_the_cli_path(tmp_path, monkeypatch):
     manifest = str(tmp_path / "toy" / "data" / "manifest.tsv")
     assert main(["train", "--manifest", manifest, "--seed", "5", "--steps", "2", "--accum", "1",
                  "--forcing", "merge", "--site", "pre", "--save", b, "--log", log]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
-    rows = open(log, encoding="utf-8").read().splitlines()[1:]
+    assert Path(a).read_bytes() == Path(b).read_bytes()
+    rows = Path(log).read_text(encoding="utf-8").splitlines()[1:]
     assert [r.split("\t")[2] for r in rows] == [f"{x:.6f}" for x in result["losses"]]
     assert main(["translate", "--checkpoint", b, "--manifest", manifest,
                  "--max-len", "14", "--out", hyp]) == 0
     (examples, hyps), = decoded
-    tsv = [line.rstrip("\n").split("\t") for line in open(hyp, encoding="utf-8")]
+    tsv = [line.split("\t") for line in Path(hyp).read_text(encoding="utf-8").splitlines()]
     assert [(r[0], r[4]) for r in tsv] == [(ex.utt_id, h.text) for ex, h in zip(examples, hyps)]
     assert len(tsv) == result["n_eval"] > 0
 
@@ -170,17 +171,17 @@ def test_translate_evaluate_audit_round_trip(dataset, tmp_path):
     manifest = os.path.join(dataset, "manifest.tsv")
     assert main(["translate", "--checkpoint", ckpt, "--manifest", manifest,
                  "--split", "test", "--out", hyp, "--max-len", "12"]) == 0
-    rows = [l.split("\t") for l in open(hyp, encoding="utf-8").read().splitlines()]
+    rows = [l.split("\t") for l in Path(hyp).read_text(encoding="utf-8").splitlines()]
     assert rows and all(len(r) == 5 for r in rows)
     report = str(tmp_path / "report.json")
     assert main(["evaluate", "--hyp", hyp, "--manifest", manifest,
                  "--split", "test", "--char-level", "--out", report]) == 0
-    bleu = json.load(open(report))["bleu"]
+    bleu = json.loads(Path(report).read_text())["bleu"]
     assert set(bleu) == {"L0", "L1"}
     audit = str(tmp_path / "audit.json")
     assert main(["audit", "--hyp", hyp, "--manifest", manifest,
                  "--out", audit]) == 0
-    acc = json.load(open(audit))["language_accuracy"]
+    acc = json.loads(Path(audit).read_text())["language_accuracy"]
     assert all(0.0 <= v <= 1.0 for v in acc.values())
 
 
@@ -255,12 +256,15 @@ def _exits_1_with_message(capsys, argv, out, *names):
                                   lambda h: h.update(adam={"beta1": "x", "beta2": 0.98,
                                                            "eps": 1e-9, "step": 0}),
                                   lambda h: h["config"].update(n_heads=0),
-                                  lambda h: h["config"].update(d_model="8")],
+                                  lambda h: h["config"].update(d_model="8"),
+                                  lambda h: h["config"].update(d_model=10**12),
+                                  lambda h: h["config"].update(n_encoder_layers=10**12)],
                          ids=["unknown-config-key", "no-vocab-size", "no-vocab",
                               "tensors-not-a-list", "record-not-an-object", "no-offset",
                               "negative-offset", "float-offset", "shape-not-a-list",
                               "negative-dim", "no-name", "unknown-kind", "adam-empty",
-                              "adam-list", "adam-string-beta1", "zero-heads", "string-size"])
+                              "adam-list", "adam-string-beta1", "zero-heads", "string-size",
+                              "huge-d-model", "huge-layer-count"])
 def test_translate_malformed_checkpoint_header_exits_1(dataset, tmp_path, capsys, edit):
     cfg = ModelConfig(vocab_size=9, d_model=8, ff_hidden=8, n_heads=2,
                       n_encoder_layers=1, n_decoder_layers=1)
@@ -274,12 +278,13 @@ def test_translate_malformed_checkpoint_header_exits_1(dataset, tmp_path, capsys
 
 
 @pytest.mark.parametrize("case", ["unknown-id", "cut-header", "cut-payload",
-                                  "space-in-index", "non-integer-offset"])
+                                  "space-in-index", "non-integer-offset", "zero-frames",
+                                  "zero-features"])
 def test_train_bad_feature_archive_exits_1(dataset, tmp_path, capsys, case):
     arc = str(tmp_path / "data.feats")
     for suffix in ("", ".idx"):
         shutil.copy(os.path.join(dataset, "data.feats" + suffix), arc + suffix)
-    index = open(arc + ".idx").read().splitlines()
+    index = Path(arc + ".idx").read_text().splitlines()
     offsets = {u: int(o) for u, o in (line.split("\t") for line in index)}
     utt = max(offsets, key=offsets.get)  # the archive's last record
     if case == "unknown-id":
@@ -287,6 +292,10 @@ def test_train_bad_feature_archive_exits_1(dataset, tmp_path, capsys, case):
     elif case.startswith("cut"):
         with open(arc, "r+b") as f:
             f.truncate(offsets[utt] + (4 if case == "cut-header" else 18))
+    elif case.startswith("zero"):
+        with open(arc, "r+b") as f:
+            f.seek(offsets[utt] + (0 if case == "zero-frames" else 4))
+            f.write(bytes(4))
     else:
         index[1] = (index[1].replace("\t", " ") if case == "space-in-index"
                     else index[1].split("\t")[0] + "\tabc")
@@ -294,6 +303,8 @@ def test_train_bad_feature_archive_exits_1(dataset, tmp_path, capsys, case):
             f.write("\n".join(index) + "\n")
     names = ([arc + ".idx", "line 2"] if case in ("space-in-index", "non-integer-offset")
              else [arc, repr(utt)])
+    if case.startswith("zero"):
+        names.append("empty")
     manifest = str(tmp_path / "manifest.tsv")
     write_manifest(manifest, [ManifestEntry(f"data.feats#{utt}", "abc", "abc", "L0", "train")])
     out = str(tmp_path / "model.ckpt")
@@ -306,7 +317,7 @@ def test_translate_bad_feature_archive_exits_1(dataset, tmp_path, capsys, case):
     arc = str(tmp_path / "data.feats")
     for suffix in ("", ".idx"):
         shutil.copy(os.path.join(dataset, "data.feats" + suffix), arc + suffix)
-    utt = open(arc + ".idx").readline().split("\t")[0]
+    utt = Path(arc + ".idx").read_text().split("\t", 1)[0]
     if case == "huge-record":
         with open(arc, "r+b") as f:
             f.write((10**9).to_bytes(4, "little"))  # the first record claims 10^9 frames

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -216,4 +218,4 @@ def test_language_tags_are_not_attribute_names(tmp_path):
     save_checkpoint(p1, m, vocab)
     m2, vocab2, _ = load_checkpoint(p1)
     save_checkpoint(p2, m2, vocab2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from multislt.trainer import (Batch, BatchComposer, CheckpointError, Example,
                               lr_at, make_batch, mix_asr, save_checkpoint, train_step,
                               transfer_encoder)
 
-from helpers import V1_FIXTURE, rewrite_header
+from helpers import V1_FIXTURE, record_opens, rewrite_header
 
 
 # learning-rate schedule ------------------------------------------------
@@ -235,7 +236,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     save_checkpoint(p1, m, vocab, state)
     m2, vocab2, state2 = load_checkpoint(p1)
     save_checkpoint(p2, m2, vocab2, state2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
     for (n1, q1), (n2, q2) in zip(m.named_parameters(), m2.named_parameters()):
         assert n1 == n2
         assert np.array_equal(q1.data, q2.data)
@@ -246,22 +247,22 @@ def test_checkpoint_truncated_rejected(tmp_path):
     m = _ckpt_model()
     path = str(tmp_path / "c.ckpt")
     save_checkpoint(path, m, Vocabulary("ab"))
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:len(blob) - 200])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:len(blob) - 200])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic_and_version(tmp_path):
     path = str(tmp_path / "d.ckpt")
-    open(path, "wb").write(b"garbagegarbage")
+    Path(path).write_bytes(b"garbagegarbage")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
     m = _ckpt_model()
     save_checkpoint(path, m, Vocabulary("ab"))
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[8] = 99  # version byte
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
 
@@ -280,9 +281,9 @@ def test_checkpoint_malformed_header_names_file(tmp_path):
     rewrite_header(path, bad, lambda h: h.update(config=[1]))
     with pytest.raises(CheckpointError, match=re.escape(bad)):
         load_checkpoint(bad)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[20] = 0xFF  # the header is no longer UTF-8 JSON
-    open(bad, "wb").write(bytes(blob))
+    Path(bad).write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="unreadable header"):
         load_checkpoint(bad)
 
@@ -299,17 +300,31 @@ def test_checkpoint_bad_adam_header_rejected(tmp_path, adam):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("field", ["d_model", "ff_hidden", "n_encoder_layers",
+                                   "n_decoder_layers", "n_mels", "frontend_channels",
+                                   "sa2d_channels", "sa2d_out_channels"])
+def test_checkpoint_config_sizes_checked_before_building(tmp_path, field):
+    import time
+    import tracemalloc
+
+    path, bad = str(tmp_path / "a.ckpt"), str(tmp_path / "bad.ckpt")
+    save_checkpoint(path, _ckpt_model(), Vocabulary("abcde"))
+    rewrite_header(path, bad, lambda h: h["config"].update({field: 10**12}))
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=re.escape(bad)):
+            load_checkpoint(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000 and time.perf_counter() - t0 < 1.0
+
+
 def test_load_examples_closes_archive_on_malformed_record(tmp_path, monkeypatch):
     from multislt import audio
 
-    opened = []
-
-    class Recorded(audio.FeatureArchive):
-        def __init__(self, path):
-            super().__init__(path)
-            opened.append(self)
-
-    monkeypatch.setattr(audio, "FeatureArchive", Recorded)
+    opened = record_opens(monkeypatch, audio)
     rng = np.random.default_rng(0)
     arc = str(tmp_path / "data.feats")
     audio.write_feature_archive(arc, [audio.FeatureSequence(u, rng.normal(size=(6, 40)))
@@ -317,11 +332,85 @@ def test_load_examples_closes_archive_on_malformed_record(tmp_path, monkeypatch)
     with open(arc, "r+b") as f:
         f.truncate(f.seek(0, 2) - 4)  # u1's payload is cut short
     entries = [ManifestEntry(f"data.feats#{u}", "ab", "ab", "L0", "train") for u in ("u0", "u1")]
+    n_written = len(opened)
     with pytest.raises(ValueError, match="'u1' is truncated"):
         load_examples(entries, Vocabulary("ab"), base_dir=str(tmp_path))
-    assert len(opened) == 1 and opened[0]._file is None
-    assert len(load_examples(entries[:1], Vocabulary("ab"), base_dir=str(tmp_path))) == 1
-    assert len(opened) == 2 and opened[1]._file is None
+    assert len(opened) > n_written and all(f.closed for f in opened)
+    examples = load_examples(entries[:1], Vocabulary("ab"), base_dir=str(tmp_path))
+    assert len(examples) == 1 and examples[0].features.shape == (6, 40)
+    assert all(f.closed for f in opened)
+
+
+def _synth(root, n_utt: int, n_lang: int = 2):
+    """A synthetic corpus under ``root``: (manifest path, rows, vocab)."""
+    from multislt.manifest import build_vocab
+    from multislt.synth import default_languages, synth_dataset
+
+    languages = default_languages(n_lang)
+    manifest, entries = synth_dataset(str(root), seed=5, n_utt_per_lang=n_utt,
+                                      languages=languages)
+    return manifest, entries, build_vocab(entries, [lang.lang_id for lang in languages])
+
+
+def test_batches_equal_eager_archive_oracle(tmp_path):
+    from multislt.audio import FeatureArchive, normalize
+
+    _, entries, vocab = _synth(tmp_path, 20)
+    examples = load_examples(entries, vocab, base_dir=str(tmp_path), split="train")
+    arc = FeatureArchive(str(tmp_path / "data.feats"))
+    eager = [Example(e.utt_id, normalize(arc.load(e.utt_id)).frames, e.target_ids, e.lang)
+             for e in examples]
+    lazy_batches, eager_batches = BatchComposer(examples, seed=3), BatchComposer(eager, seed=3)
+    for _ in range(6):
+        got, want = lazy_batches.next_batch(), eager_batches.next_batch()
+        for name in ("features", "lengths", "prefix_ids", "label_ids"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert (got.langs, got.utt_ids) == (want.langs, want.utt_ids)
+
+
+def test_train_run_and_decode_split_pinned(tmp_path):
+    """Loss reprs, checkpoint bytes and hypotheses pinned from the program
+    that held every normalized utterance in memory."""
+    from multislt.decoding import decode_corpus, decode_split
+    from multislt.trainer import RunConfig, train_run
+
+    manifest, entries, _ = _synth(tmp_path, 20)
+    ckpt = str(tmp_path / "m.ckpt")
+    model, vocab, _, losses = train_run(RunConfig(manifest=manifest, seed=1, steps=3, accum=2,
+                                                  forcing="merge", site="pre", save=ckpt))
+    assert [repr(x) for x in losses] == ["4.25920348975616", "4.0654796459157705",
+                                         "4.005848736263395"]
+    assert hashlib.sha256(Path(ckpt).read_bytes()).hexdigest() == (
+        "459e72bb6ce3fb34ab69219768f99d8f54979d07b0635d7c51b302eddc268280")
+    examples, hyps = decode_split(model, vocab, entries, str(tmp_path), "test",
+                                  beam=2, max_len=5)
+    assert [(h.ids, repr(h.logprob)) for h in hyps] == [([1, 2], "-2.3781615248702614"),
+                                                         ([1, 2], "-2.335820552595803")]
+    assert decode_corpus(model, vocab, [(ex.features, ex.lang) for ex in examples],
+                         beam=2, max_len=5) == hyps
+
+
+def test_training_memory_does_not_grow_with_corpus(tmp_path):
+    """Archive rows are read per batch: from 3×200 to 3×2000 utterances, the
+    traced peak of load_examples and 8 batches grows by the rows' ids and
+    index entries (3.1 MB measured), not by the 4860 more normalized
+    matrices that loading every row would hold (≈83 MB)."""
+    import tracemalloc
+
+    peaks = []
+    for n_utt in (200, 2000):
+        root = tmp_path / str(n_utt)
+        _, entries, vocab = _synth(root, n_utt, n_lang=3)
+        tracemalloc.start()
+        try:
+            composer = BatchComposer(load_examples(entries, vocab, base_dir=str(root),
+                                                   split="train"), seed=0)
+            for _ in range(8):
+                composer.next_batch()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 5_000_000
 
 
 # version-1 checkpoints ---------------------------------------------------
@@ -369,11 +458,11 @@ def test_version_1_resaves_as_version_2_round_trip(tmp_path):
     model, vocab, state, _ = _v1_fixture()
     p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
     save_checkpoint(p1, model, vocab, state)
-    blob = open(p1, "rb").read()
+    blob = Path(p1).read_bytes()
     assert struct.unpack_from("<I", blob, 8) == (2,)
     m2, vocab2, state2 = load_checkpoint(p1)
     save_checkpoint(p2, m2, vocab2, state2)
-    assert open(p2, "rb").read() == blob
+    assert Path(p2).read_bytes() == blob
 
 
 def test_version_1_without_sa2d_penalty_rejected(tmp_path):
