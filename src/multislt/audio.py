@@ -188,15 +188,23 @@ class FeatureArchive:
                              f"is empty (it claims {t}x{fdim} frames)")
         return t, fdim
 
-    def check(self, utt_ids: Iterable[str]):
+    def check(self, utt_ids: Iterable[str], fdim: int | None = None) -> int | None:
         """Read and check the header of each named record, through one handle.
 
-        A missing, truncated, oversized or empty record raises ``ValueError``
-        naming the archive and the utterance; no payload is read.
+        A missing, truncated, oversized or empty record, or one whose feature
+        dimension is not ``fdim`` (by default the first record's), raises
+        ``ValueError`` naming the archive and the utterance; no payload is
+        read. Returns the feature dimension.
         """
         with open(self.path, "rb") as f:
             for utt_id in utt_ids:
-                self._header(f, utt_id)
+                _, n = self._header(f, utt_id)
+                if fdim is not None and n != fdim:
+                    raise ValueError(f"feature archive {self.path}: the record of utterance "
+                                     f"{utt_id!r} has {n} features per frame, not the "
+                                     f"{fdim} of the records before it")
+                fdim = n
+        return fdim
 
     def load(self, utt_id: str) -> FeatureSequence:
         with open(self.path, "rb") as f:

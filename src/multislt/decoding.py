@@ -7,6 +7,7 @@ decoder call for all live prefixes, reusing their cached keys and values.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -75,15 +76,20 @@ def beam_decode(model: SpeechTransformer, vocab: Vocabulary, features: np.ndarra
                                          cache=cache)
             logp = _log_softmax(logits.data[:, -1])
             top = np.argsort(-logp, axis=-1, kind="stable")[:, :beam]
-            candidates = [(row, prefix + [int(tok)], lp + float(logp[row, tok]))
-                          for row, (prefix, lp) in enumerate(live) for tok in top[row]]
-            candidates.sort(key=lambda c: _norm(c[2], len(c[1]) - 1, alpha), reverse=True)
-            kept = [c for c in candidates if c[1][-1] != EOS_ID][:beam]
-            for _, prefix, lp in candidates:
-                if prefix[-1] == EOS_ID:
-                    finished.append((prefix, lp, False))
-                    best = max(best, _norm(lp, len(prefix) - 1, alpha))
-            live = [(prefix, lp) for _, prefix, lp in kept]
+            top_lp = np.take_along_axis(logp, top, -1)
+            # (row, token, logprob); each is one token longer than the live
+            # prefixes, so one divisor gives every candidate's _norm
+            candidates = [(row, tok, lp + tok_lp) for row, ((_, lp), toks, tok_lps)
+                          in enumerate(zip(live, top.tolist(), top_lp.tolist()))
+                          for tok, tok_lp in zip(toks, tok_lps)]
+            norm = max(len(live[0][0]), 1) ** alpha
+            candidates.sort(key=lambda c: c[2] / norm, reverse=True)
+            kept = [c for c in candidates if c[1] != EOS_ID][:beam]
+            for row, tok, lp in candidates:
+                if tok == EOS_ID:
+                    finished.append((live[row][0] + [tok], lp, False))
+                    best = max(best, lp / norm)
+            live = [(live[row][0] + [tok], lp) for row, tok, lp in kept]
             if not live or best >= max(lp for _, lp in live) / max_len ** alpha:
                 break
             cache.select([row for row, _, _ in kept])
@@ -100,6 +106,8 @@ def decode_corpus(model: SpeechTransformer, vocab: Vocabulary, items,
     """Decode (features, lang) pairs, optionally across concurrent workers.
 
     The model is frozen, so results are identical for any worker count.
+    ``items`` is read as the decoding goes: at most ``2 * workers`` items
+    are taken before their hypotheses are done.
     """
     _check_search(beam, max_len)
 
@@ -109,8 +117,13 @@ def decode_corpus(model: SpeechTransformer, vocab: Vocabulary, items,
 
     if workers <= 1:
         return [one(it) for it in items]
+    out, pending = [], deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, items))
+        for item in items:
+            if len(pending) == 2 * workers:
+                out.append(pending.popleft().result())
+            pending.append(pool.submit(one, item))
+        return out + [f.result() for f in pending]
 
 
 def decode_split(model: SpeechTransformer, vocab: Vocabulary, entries: list[ManifestEntry],

@@ -41,8 +41,14 @@ def read_manifest(path: str, languages: list[str] | None = None,
                   check_files: bool = True) -> list[ManifestEntry]:
     entries = []
     base = os.path.dirname(os.path.abspath(path))
-    with open(path, encoding="utf-8") as f:
+    # undecodable bytes become lone surrogates, which UTF-8 text never holds
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise ManifestError(f"{path}:{lineno}: not UTF-8 text "
+                                    f"(at character {e.start + 1})") from None
             line = line.rstrip("\n")
             if not line:
                 continue

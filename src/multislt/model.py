@@ -140,34 +140,54 @@ def _key_bias(mask: np.ndarray) -> np.ndarray:
 
 
 class KVCache:
-    """Keys and values of one attention block, B×H×T×d_head Tensors.
+    """Projected keys and values of one attention block, B×T×d_model arrays
+    held as constants.
 
-    Self-attention caches ``grow``: each call appends the new positions'
-    keys and values. Cross-attention caches project the encoder memory on
-    their first call and reuse it after.
+    A self-attention cache (``grow``) keeps every position's keys and values
+    in two preallocated B×capacity×d arrays. ``append`` writes the new
+    positions in place and returns views of the filled part; when they do
+    not fit, the capacity doubles past the positions held. A
+    cross-attention cache keeps the projected memory of its first call and
+    is reused after.
     """
 
     def __init__(self, grow: bool):
         self.grow = grow
         self.k = self.v = None
+        self.n = 0  # positions held
 
-    def append(self, k: Tensor, v: Tensor):
-        if self.k is not None:
-            k, v = T.concat([self.k, k], axis=2), T.concat([self.v, v], axis=2)
-        self.k, self.v = k, v
-        return k, v
+    def append(self, k: np.ndarray, v: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Cache the B×t×d keys and values of t more positions; returns those
+        of every position held."""
+        n = self.n + k.shape[1]
+        if not self.grow:
+            self.k, self.v = k, v
+        else:
+            if self.k is None or n > self.k.shape[1]:
+                kbuf, vbuf = np.empty((2, k.shape[0], 2 * n, k.shape[2]))
+                if self.n:
+                    kbuf[:, :self.n], vbuf[:, :self.n] = self.k[:, :self.n], self.v[:, :self.n]
+                self.k, self.v = kbuf, vbuf
+            self.k[:, self.n:n] = k
+            self.v[:, self.n:n] = v
+        self.n = n
+        return self.keys_values()
+
+    def keys_values(self) -> tuple[Tensor, Tensor]:
+        return Tensor(self.k[:, :self.n]), Tensor(self.v[:, :self.n])
 
     def select(self, rows):
         # a memory of batch 1 serves every row, so it is not gathered
         if self.k is not None and (self.grow or self.k.shape[0] > 1):
-            self.k, self.v = T.getitem(self.k, rows), T.getitem(self.v, rows)
+            self.k, self.v = self.k[rows], self.v[rows]
 
 
 class MultiHeadAttention(Module):
     """Scaled dot-product attention over ``n_heads`` heads.
 
     Four ``Linear`` projections (q, k, v, output) and one ``T.attention``
-    node for the softmax of the scaled, biased scores times the values.
+    node, which splits q, k and v into heads, takes the softmax of the
+    scaled, biased scores times the values, and merges the heads again.
     """
 
     def __init__(self, d_model: int, n_heads: int, rng):
@@ -183,21 +203,13 @@ class MultiHeadAttention(Module):
                  cache: KVCache | None = None) -> Tensor:
         """``kv`` of batch 1 serves every query row. With a ``cache``, keys
         and values come from it as well (see ``KVCache``)."""
-        B, Tq, d = query.shape
-
-        def split(x):
-            x = T.reshape(x, x.shape[:2] + (self.n_heads, self.d_head))
-            return T.transpose(x, (0, 2, 1, 3))
-
-        q = split(self.wq(query))
-        if cache is not None and cache.k is not None and not cache.grow:
-            k, v = cache.k, cache.v
+        if cache is None:
+            k, v = self.wk(kv), self.wv(kv)
+        elif cache.k is not None and not cache.grow:
+            k, v = cache.keys_values()
         else:
-            k, v = split(self.wk(kv)), split(self.wv(kv))
-            if cache is not None:
-                k, v = cache.append(k, v)
-        out = T.attention(q, k, v, self.d_head ** -0.5, bias)
-        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (B, Tq, d))
+            k, v = cache.append(self.wk(kv).data, self.wv(kv).data)
+        out = T.attention(self.wq(query), k, v, self.d_head ** -0.5, bias, heads=self.n_heads)
         return self.wo(out)
 
 
@@ -430,14 +442,17 @@ class SpeechTransformer(Module):
 
 class DecoderCache:
     """What the decoder has computed for B prefixes of one encoder state:
-    their ids and, per decoder layer, the self-attention keys and values of
-    every position plus the cross-attention keys and values of the memory.
+    their ids and, per decoder layer, a growing ``KVCache`` of the
+    self-attention keys and values of every position plus a ``KVCache`` of
+    the cross-attention keys and values of the memory.
 
     ``decode_logits(enc, ids, cache=cache)`` takes the full prefixes, runs
-    only the positions past the cached ones and caches those. ``select``
-    keeps, in order and possibly repeated, the rows a search continues. A
-    memory of batch 1 serves every row; a memory with one row per prefix
-    must be gathered by the same rows before the next call.
+    only the positions past the cached ones and caches those. Cached keys
+    and values are constants, so a cached call must run inside
+    ``T.no_grad()``; one that would record a graph raises ``RuntimeError``.
+    ``select`` keeps, in order and possibly repeated, the rows a search
+    continues. A memory of batch 1 serves every row; a memory with one row
+    per prefix must be gathered by the same rows before the next call.
     """
 
     def __init__(self):
@@ -449,6 +464,8 @@ class DecoderCache:
 
         ``ids`` must extend every cached prefix by at least one position.
         """
+        if T.grad_enabled():
+            raise RuntimeError("cached decoding records no graph: call it inside T.no_grad()")
         if self.ids is not None:
             n = self.ids.shape[1]
             if ids.shape[0] != self.ids.shape[0]:

@@ -144,6 +144,11 @@ def no_grad():
         _grad_mode.enabled = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops in the calling thread record a graph (outside ``no_grad``)."""
+    return _grad_mode.enabled
+
+
 def _records(parents) -> bool:
     """Whether an op on ``parents`` builds a node, so a backward can run."""
     return _grad_mode.enabled and any(p.requires_grad for p in parents)
@@ -345,8 +350,9 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # nonlinear blocks with analytic backward --------------------------------
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+    # the ufunc reduces that ndarray.max and ndarray.sum call through wrappers
+    e = np.exp(x - np.maximum.reduce(x, axis=axis, keepdims=True))
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 def _softmax_grad(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
@@ -382,44 +388,69 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _make(data, (x, weight, bias), backward)
 
 
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """B×T×d -> B×H×T×(d/H), a view."""
+    B, T, d = a.shape
+    return a.reshape(B, T, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """B×H×T×d_head -> B×T×(H·d_head), the inverse of ``_split_heads``."""
+    B, H, T, dh = a.shape
+    return a.transpose(0, 2, 1, 3).reshape(B, T, H * dh)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-              bias: np.ndarray | None = None) -> Tensor:
+              bias: np.ndarray | None = None, heads: int | None = None) -> Tensor:
     """``softmax(q kᵀ · scale + bias) v`` over the last two axes, as one node.
 
     ``bias`` is a constant (masks, penalties) that broadcasts to the
-    scores' shape; ``k`` and ``v`` of batch 1 serve every query row. The
-    arithmetic is that of ``matmul``, ``scale``, ``add``, ``softmax`` and
-    ``matmul`` in sequence, in the same order, forward and backward, so the
-    results equal that composition bit for bit.
+    scores' shape; ``k`` and ``v`` of batch 1 serve every query row. With
+    ``heads``, q, k and v are B×T×d: each is split into ``heads`` heads of
+    d/heads features (views, no copy), and the B×heads×Tq×d_head output is
+    merged back to B×Tq×d. The arithmetic is that of ``matmul``, ``scale``,
+    ``add``, ``softmax`` and ``matmul`` in sequence (after the ``reshape`` and
+    ``transpose`` that split the heads), in the same order, forward and
+    backward, so the results equal that composition bit for bit.
     """
-    kt = np.swapaxes(k.data, -1, -2)
-    scores = _matmul(q.data, kt, "attention")
+    qd, kd, vd = q.data, k.data, v.data
+    if heads is not None:
+        qd, kd, vd = _split_heads(qd, heads), _split_heads(kd, heads), _split_heads(vd, heads)
+    kt = np.swapaxes(kd, -1, -2)
+    scores = _matmul(qd, kt, "attention")
     scores *= scale
     if bias is not None:
         scores += bias
     p = _softmax(scores, -1)
-    data = _matmul(p, v.data, "attention")
+    data = _matmul(p, vd, "attention")
+    if heads is not None:
+        data = _merge_heads(data)
 
     def backward(g):
-        gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        gv = np.matmul(np.swapaxes(p, -1, -2), g)
-        v._accumulate(_unbroadcast(gv, v.shape))
+        if heads is not None:  # per head, and contiguous as the merge's gradient was
+            g = np.ascontiguousarray(_split_heads(g, heads))
+        gp = np.matmul(g, np.swapaxes(vd, -1, -2))
+        gv = _unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), vd.shape)
         gs = _softmax_grad(p, _unbroadcast(gp, p.shape), -1)
         gs *= scale
-        gq = np.matmul(gs, k.data)
-        gkt = np.matmul(np.swapaxes(q.data, -1, -2), gs)
-        q._accumulate(_unbroadcast(gq, q.shape))
-        k._accumulate(np.swapaxes(_unbroadcast(gkt, kt.shape), -1, -2))
+        gq = np.matmul(gs, kd)
+        gk = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(qd, -1, -2), gs), kt.shape), -1, -2)
+        if heads is not None:
+            gq, gk, gv = _merge_heads(gq), _merge_heads(gk), _merge_heads(gv)
+        v._accumulate(gv)
+        q._accumulate(gq)
+        k._accumulate(gk)
 
     return _make(data, (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis; gamma/beta broadcast over it."""
-    # np.mean is a sum and a true divide; np.var's steps reuse the centred input
+    # np.mean is a sum and a true divide; np.var's steps reuse the centred input.
+    # np.add.reduce is the ufunc reduce that ndarray.sum calls through a wrapper.
     n = x.shape[-1]
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + eps)
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + eps)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
 
@@ -534,7 +565,8 @@ def _conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride):
     Wo = (W + 2 - 3) // sw + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d: non-positive output extent for input {x.shape}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    xp = np.zeros((B, C, H + 2, W + 2))
+    xp[:, :, 1:-1, 1:-1] = x.data
     taps = [(slice(di, di + sh * (Ho - 1) + 1, sh), slice(dj, dj + sw * (Wo - 1) + 1, sw))
             for di in range(3) for dj in range(3)]
     w2 = weight.data.reshape(O, C * 9)

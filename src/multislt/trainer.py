@@ -126,7 +126,8 @@ def load_examples(entries: list[ManifestEntry], vocab: Vocabulary,
     ``archive.feats#utt`` rows are read on demand: each ``Example.features``
     access loads and normalizes the record, so memory does not grow with the
     corpus. Only the records' headers are read here, so a missing, truncated,
-    oversized or empty record fails now, naming the archive and utterance.
+    oversized or empty record, or one whose feature dimension differs from
+    the split's other records, fails now, naming the archive and utterance.
     Plain paths are WAV files, run through the MEL pipeline here and kept in
     memory; ``multislt extract`` turns a large WAV corpus into an archive.
     """
@@ -152,8 +153,9 @@ def load_examples(entries: list[ManifestEntry], vocab: Vocabulary,
                 path = os.path.join(base_dir, path)
             fs = audio.normalize(audio.mel_spectrogram(audio.read_wav(path), e.utt_id))
             out.append(Example(fs.utt_id, fs.frames, target_ids, e.lang))
+    fdim = None  # one feature dimension for every archive record of the split
     for archive, utt_ids in archives.values():
-        archive.check(utt_ids)
+        fdim = archive.check(utt_ids, fdim)
     return out
 
 

@@ -207,6 +207,34 @@ def test_feature_archive_empty_record_rejected(tmp_path, field):
         load_examples(entries, Vocabulary("ab"), base_dir=str(tmp_path))
 
 
+def test_split_with_mixed_feature_dimensions_rejected(tmp_path):
+    """Every archive record of a split has one feature dimension; the first
+    record that differs, in this archive or a later one, is named."""
+    from multislt.manifest import ManifestEntry, Vocabulary
+    from multislt.trainer import load_examples
+
+    rng = np.random.default_rng(9)
+    a, b = str(tmp_path / "a.feats"), str(tmp_path / "b.feats")
+    audio.write_feature_archive(a, [FeatureSequence("u0", rng.normal(size=(6, 40))),
+                                    FeatureSequence("u1", rng.normal(size=(6, 39))),
+                                    FeatureSequence("u2", rng.normal(size=(6, 38)))])
+    audio.write_feature_archive(b, [FeatureSequence("v0", rng.normal(size=(6, 40))),
+                                    FeatureSequence("v1", rng.normal(size=(6, 41)))])
+    vocab = Vocabulary("ab")
+
+    def rows(*ids):
+        return [ManifestEntry(i, "ab", "ab", "L0", "train") for i in ids]
+    with pytest.raises(ValueError, match=f"{re.escape(a)}: .*'u1' has 39 features.*40"):
+        load_examples(rows("a.feats#u0", "a.feats#u1", "a.feats#u2"), vocab, str(tmp_path))
+    with pytest.raises(ValueError, match=f"{re.escape(b)}: .*'v1' has 41 features"):
+        load_examples(rows("a.feats#u0", "b.feats#v0", "b.feats#v1"), vocab, str(tmp_path))
+    with pytest.raises(ValueError, match=f"{re.escape(b)}: .*'v0' has 40 features.*39"):
+        load_examples(rows("a.feats#u1", "b.feats#v0"), vocab, str(tmp_path))
+    examples = load_examples(rows("a.feats#u2", "b.feats#v1"), vocab, str(tmp_path),
+                             split="test")  # another split's rows are not read
+    assert examples == []
+
+
 @pytest.mark.parametrize("offset", [10**4, 10**30])
 def test_feature_archive_offset_past_end_rejected_at_parse(tmp_path, offset):
     path = str(tmp_path / "x.feats")

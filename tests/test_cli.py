@@ -312,6 +312,29 @@ def test_train_bad_feature_archive_exits_1(dataset, tmp_path, capsys, case):
                                    "--save", out], out, *names)
 
 
+def test_train_mixed_feature_dimensions_exits_1(tmp_path, capsys):
+    from multislt.audio import FeatureSequence, write_feature_archive
+
+    arc = str(tmp_path / "data.feats")
+    rng = np.random.default_rng(3)
+    write_feature_archive(arc, [FeatureSequence("u0", rng.normal(size=(6, 40))),
+                                FeatureSequence("u1", rng.normal(size=(6, 39)))])
+    manifest = str(tmp_path / "manifest.tsv")
+    write_manifest(manifest, [ManifestEntry(f"data.feats#{u}", "abc", "abc", "L0", "train")
+                              for u in ("u0", "u1")])
+    out = str(tmp_path / "model.ckpt")
+    _exits_1_with_message(capsys, ["train", "--manifest", manifest, "--steps", "1",
+                                   "--save", out], out, arc, "'u1'", "39 features")
+
+
+def test_train_non_utf8_manifest_exits_1(tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(b"data.feats#u\xe9\tabc\tabc\tL0\ttrain\n")
+    out = str(tmp_path / "model.ckpt")
+    _exits_1_with_message(capsys, ["train", "--manifest", str(manifest), "--steps", "1",
+                                   "--save", out], out, f"{manifest}:1", "not UTF-8")
+
+
 @pytest.mark.parametrize("case", ["huge-record", "offset-past-end"])
 def test_translate_bad_feature_archive_exits_1(dataset, tmp_path, capsys, case):
     arc = str(tmp_path / "data.feats")

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multislt import manifest as M
 from multislt.manifest import ManifestEntry, Vocabulary, build_vocab, read_manifest
@@ -50,6 +53,25 @@ def test_malformed_row_rejected(tmp_path):
     path = _write(tmp_path, [["a.wav", "x", "y", "de"]])
     with pytest.raises(M.ManifestError, match="columns"):
         read_manifest(path, check_files=False)
+
+
+def test_non_utf8_row_names_file_and_line(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_bytes(b"a\tx\ty\tde\ttrain\nb\tx\xff\ty\tde\ttrain\n")
+    with pytest.raises(M.ManifestError, match=f"{re.escape(str(path))}:2: not UTF-8"):
+        read_manifest(str(path), check_files=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.binary(max_size=40), min_size=1, max_size=4), st.booleans())
+def test_random_row_bytes_raise_only_manifest_error(tmp_path_factory, rows, check_files):
+    """Rows of random bytes either parse or raise ManifestError naming the file."""
+    path = tmp_path_factory.mktemp("rows") / "m.tsv"
+    path.write_bytes(b"\n".join(rows))
+    try:
+        read_manifest(str(path), check_files=check_files)
+    except M.ManifestError as e:
+        assert str(path) in str(e), e
 
 
 def test_archive_path_utt_id(tmp_path):

@@ -137,13 +137,18 @@ def test_batch_equivariance_eval_mode():
 
 def _attention_weight_spy(captured):
     """A stand-in for ``T.attention`` that appends each call's attention
-    weights to ``captured``: the real op with the identity as values."""
+    weights, one map per head, to ``captured``: the real op on the split
+    queries and keys with the identity as values."""
     real_attention = T.attention
 
-    def spy(q, k, v, scale, bias=None):
-        eye = Tensor(np.eye(k.shape[-2]))
-        captured.append(real_attention(q, k, eye, scale, bias).data)
-        return real_attention(q, k, v, scale, bias)
+    def spy(q, k, v, scale, bias=None, heads=None):
+        qh, kh = q, k
+        if heads is not None:  # B×T×d -> B×heads×T×(d/heads)
+            qh, kh = (Tensor(t.data.reshape(t.shape[:2] + (heads, -1)).transpose(0, 2, 1, 3))
+                      for t in (q, k))
+        eye = Tensor(np.eye(kh.shape[-2]))
+        captured.append(real_attention(qh, kh, eye, scale, bias).data)
+        return real_attention(q, k, v, scale, bias, heads)
     return spy
 
 
@@ -374,23 +379,62 @@ def test_cached_decoding_matches_full_prefix(mode, site, shared_memory):
 
 
 def test_cache_rejects_prefixes_it_does_not_extend():
-    m = make_model(seed=23)
-    enc = m.encode(np.random.default_rng(24).normal(size=(1, 16, 40)), [16])
-    ids = np.array([[BOS_ID, 4, 5, 6], [BOS_ID, 7, 8, 9]])
+    with T.no_grad():
+        m = make_model(seed=23)
+        enc = m.encode(np.random.default_rng(24).normal(size=(1, 16, 40)), [16])
+        ids = np.array([[BOS_ID, 4, 5, 6], [BOS_ID, 7, 8, 9]])
+        cache = DecoderCache()
+        m.decode_logits(enc, ids[:, :3], cache=cache)
+        for stale in (ids[:, :2], ids[:, :3]):  # shorter than, or as long as, the cache
+            with pytest.raises(ValueError, match="cached positions"):
+                m.decode_logits(enc, stale, cache=cache)
+        other = ids.copy()
+        other[0, 1] = 9
+        with pytest.raises(ValueError, match="do not extend"):
+            m.decode_logits(enc, other, cache=cache)
+        with pytest.raises(ValueError, match="holds 2 prefixes"):
+            m.decode_logits(enc, ids[:1], cache=cache)
+        # the failed calls left the cache as it was
+        got = m.decode_logits(enc, ids, cache=cache).data
+        want = m.decode_logits(enc, ids).data[:, 3:]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_cached_decoding_past_the_initial_capacity():
+    """The self-attention cache outgrows its first buffers; a select before
+    and after a growth keeps each row's positions, and every cached call
+    equals the full-prefix call."""
+    m = make_model(seed=25)
+    rng = np.random.default_rng(26)
+    ids = rng.integers(3, 12, size=(3, 12))
+    ids[:, 0] = BOS_ID
     cache = DecoderCache()
-    m.decode_logits(enc, ids[:, :3], cache=cache)
-    for stale in (ids[:, :2], ids[:, :3]):  # shorter than, or as long as, the cache
-        with pytest.raises(ValueError, match="cached positions"):
-            m.decode_logits(enc, stale, cache=cache)
-    other = ids.copy()
-    other[0, 1] = 9
-    with pytest.raises(ValueError, match="do not extend"):
-        m.decode_logits(enc, other, cache=cache)
-    with pytest.raises(ValueError, match="holds 2 prefixes"):
-        m.decode_logits(enc, ids[:1], cache=cache)
-    # the failed calls left the cache as it was
-    got = m.decode_logits(enc, ids, cache=cache).data
-    np.testing.assert_allclose(got, m.decode_logits(enc, ids).data[:, 3:], rtol=0, atol=1e-12)
+    capacities = []
+    with T.no_grad():
+        enc = m.encode(rng.normal(size=(1, 20, 40)), [20])
+        for L in range(1, ids.shape[1] + 1):
+            if L in (2, 9):
+                rows = [1, 1, 0] if L == 2 else [2, 0, 0]
+                cache.select(rows)
+                ids = ids[rows]
+                ids[1:, L - 1] = [4, 7]  # distinct continuations of a repeated row
+            got = m.decode_logits(enc, ids[:, :L], cache=cache).data
+            want = m.decode_logits(enc, ids[:, :L]).data[:, -1:]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            capacities.append(cache.layers[0][0].k.shape[1])
+    grown = sorted(set(capacities))
+    assert capacities[0] < ids.shape[1]  # the decode outgrows the first buffers
+    assert capacities[1] < capacities[7]  # between the select at 2 positions and the one at 9
+    assert all(b >= 2 * a for a, b in zip(grown, grown[1:]))  # geometrically
+
+
+def test_cached_call_recording_a_graph_raises():
+    m = make_model(seed=27)
+    enc = m.encode(np.random.default_rng(28).normal(size=(1, 16, 40)), [16])
+    cache = DecoderCache()
+    with pytest.raises(RuntimeError, match="no_grad"):
+        m.decode_logits(enc, np.array([[BOS_ID]]), cache=cache)
+    assert cache.ids is None and not cache.layers
 
 
 def test_config_validation():

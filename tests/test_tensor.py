@@ -271,6 +271,10 @@ OPS = {
     # x is the queries, keys and values at once
     "attention": lambda x, rng: T.tsum(T.mul(
         T.attention(x, x, x, 0.7, rng.normal(size=(3, 3))), Tensor(rng.normal(size=(3, 4))))),
+    # one sequence of 3 positions, d = 4 split into 2 heads
+    "attention_heads": lambda x, rng: T.tsum(T.mul(
+        T.attention(*(T.reshape(x, (1, 3, 4)),) * 3, 0.7, rng.normal(size=(3, 3)), heads=2),
+        Tensor(rng.normal(size=(1, 3, 4))))),
 }
 
 
@@ -429,6 +433,42 @@ def test_attention_equals_unfused_composition(bias_kind, shared_kv, tq, tk, d, s
 
     with T.no_grad():
         out = T.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), scale, bias)
+    assert out._prev == () and not out.requires_grad
+    assert np.array_equal(out.data, want[0])
+
+
+def _split_heads(x, heads):
+    """B×T×d -> B×heads×T×(d/heads), as MultiHeadAttention once built it."""
+    return T.transpose(T.reshape(x, x.shape[:2] + (heads, x.shape[2] // heads)), (0, 2, 1, 3))
+
+
+@given(st.sampled_from([None, "keys", "full"]), st.booleans(), st.integers(1, 3),
+       st.integers(1, 4), st.integers(1, 5), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_attention_heads_equal_split_and_merge_composition(bias_kind, shared_kv, heads, tq, tk,
+                                                           d_head, seed):
+    # shared_kv: keys and values of batch 1 serve all B query rows
+    rng = np.random.default_rng(seed)
+    B, d = 3, heads * d_head
+    kv_batch = 1 if shared_kv else B
+    q = rng.normal(size=(B, tq, d))
+    k, v = rng.normal(size=(kv_batch, tk, d)), rng.normal(size=(kv_batch, tk, d))
+    bias = {None: None,
+            "keys": np.where(rng.random((B, 1, 1, tk)) < 0.3, -1e30, 0.0),
+            "full": rng.normal(size=(B, 1, tq, tk))}[bias_kind]
+    scale = float(rng.uniform(0.1, 2.0))
+    g = rng.normal(size=(B, tq, d))
+
+    def composed(q, k, v):
+        out = T.attention(*(_split_heads(t, heads) for t in (q, k, v)), scale, bias)
+        return T.reshape(T.transpose(out, (0, 2, 1, 3)), (B, tq, d))
+    want = _run(composed, (q, k, v), g)
+    _assert_all_equal(_run(lambda *t: T.attention(*t, scale, bias, heads=heads), (q, k, v), g),
+                      want)
+
+    with T.no_grad():
+        out = T.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), scale, bias,
+                          heads=heads)
     assert out._prev == () and not out.requires_grad
     assert np.array_equal(out.data, want[0])
 
