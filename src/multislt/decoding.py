@@ -77,18 +77,17 @@ def beam_decode(model: SpeechTransformer, vocab: Vocabulary, features: np.ndarra
             logp = _log_softmax(logits.data[:, -1])
             top = np.argsort(-logp, axis=-1, kind="stable")[:, :beam]
             top_lp = np.take_along_axis(logp, top, -1)
-            # (row, token, logprob); each is one token longer than the live
-            # prefixes, so one divisor gives every candidate's _norm
+            # (row, token, logprob): live[row]'s prefix plus one token, whose
+            # _norm counts the prefix's length (all but the BOS of the result)
             candidates = [(row, tok, lp + tok_lp) for row, ((_, lp), toks, tok_lps)
                           in enumerate(zip(live, top.tolist(), top_lp.tolist()))
                           for tok, tok_lp in zip(toks, tok_lps)]
-            norm = max(len(live[0][0]), 1) ** alpha
-            candidates.sort(key=lambda c: c[2] / norm, reverse=True)
+            candidates.sort(key=lambda c: _norm(c[2], len(live[c[0]][0]), alpha), reverse=True)
             kept = [c for c in candidates if c[1] != EOS_ID][:beam]
             for row, tok, lp in candidates:
                 if tok == EOS_ID:
                     finished.append((live[row][0] + [tok], lp, False))
-                    best = max(best, lp / norm)
+                    best = max(best, _norm(lp, len(live[row][0]), alpha))
             live = [(live[row][0] + [tok], lp) for row, tok, lp in kept]
             if not live or best >= max(lp for _, lp in live) / max_len ** alpha:
                 break

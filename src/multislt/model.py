@@ -143,38 +143,22 @@ class KVCache:
     """Projected keys and values of one attention block, B×T×d_model arrays
     held as constants.
 
-    A self-attention cache (``grow``) keeps every position's keys and values
-    in two preallocated B×capacity×d arrays. ``append`` writes the new
-    positions in place and returns views of the filled part; when they do
-    not fit, the capacity doubles past the positions held. A
-    cross-attention cache keeps the projected memory of its first call and
-    is reused after.
+    A self-attention cache (``grow``) appends each call's positions to the
+    ones it holds. A cross-attention cache keeps the projected memory of
+    its first call and is reused after.
     """
 
     def __init__(self, grow: bool):
         self.grow = grow
         self.k = self.v = None
-        self.n = 0  # positions held
 
     def append(self, k: np.ndarray, v: np.ndarray) -> tuple[Tensor, Tensor]:
         """Cache the B×t×d keys and values of t more positions; returns those
         of every position held."""
-        n = self.n + k.shape[1]
-        if not self.grow:
-            self.k, self.v = k, v
-        else:
-            if self.k is None or n > self.k.shape[1]:
-                kbuf, vbuf = np.empty((2, k.shape[0], 2 * n, k.shape[2]))
-                if self.n:
-                    kbuf[:, :self.n], vbuf[:, :self.n] = self.k[:, :self.n], self.v[:, :self.n]
-                self.k, self.v = kbuf, vbuf
-            self.k[:, self.n:n] = k
-            self.v[:, self.n:n] = v
-        self.n = n
-        return self.keys_values()
-
-    def keys_values(self) -> tuple[Tensor, Tensor]:
-        return Tensor(self.k[:, :self.n]), Tensor(self.v[:, :self.n])
+        if self.k is not None and self.grow:
+            k, v = np.concatenate([self.k, k], axis=1), np.concatenate([self.v, v], axis=1)
+        self.k, self.v = k, v
+        return Tensor(k), Tensor(v)
 
     def select(self, rows):
         # a memory of batch 1 serves every row, so it is not gathered
@@ -206,7 +190,7 @@ class MultiHeadAttention(Module):
         if cache is None:
             k, v = self.wk(kv), self.wv(kv)
         elif cache.k is not None and not cache.grow:
-            k, v = cache.keys_values()
+            k, v = Tensor(cache.k), Tensor(cache.v)
         else:
             k, v = cache.append(self.wk(kv).data, self.wv(kv).data)
         out = T.attention(self.wq(query), k, v, self.d_head ** -0.5, bias, heads=self.n_heads)

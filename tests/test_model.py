@@ -400,16 +400,15 @@ def test_cache_rejects_prefixes_it_does_not_extend():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_cached_decoding_past_the_initial_capacity():
-    """The self-attention cache outgrows its first buffers; a select before
-    and after a growth keeps each row's positions, and every cached call
+def test_cached_decoding_across_selects():
+    """A select at 2 and at 9 cached positions keeps each row's positions,
+    repeated rows included, and every cached call of a 12-position decode
     equals the full-prefix call."""
     m = make_model(seed=25)
     rng = np.random.default_rng(26)
     ids = rng.integers(3, 12, size=(3, 12))
     ids[:, 0] = BOS_ID
     cache = DecoderCache()
-    capacities = []
     with T.no_grad():
         enc = m.encode(rng.normal(size=(1, 20, 40)), [20])
         for L in range(1, ids.shape[1] + 1):
@@ -421,11 +420,6 @@ def test_cached_decoding_past_the_initial_capacity():
             got = m.decode_logits(enc, ids[:, :L], cache=cache).data
             want = m.decode_logits(enc, ids[:, :L]).data[:, -1:]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            capacities.append(cache.layers[0][0].k.shape[1])
-    grown = sorted(set(capacities))
-    assert capacities[0] < ids.shape[1]  # the decode outgrows the first buffers
-    assert capacities[1] < capacities[7]  # between the select at 2 positions and the one at 9
-    assert all(b >= 2 * a for a, b in zip(grown, grown[1:]))  # geometrically
 
 
 def test_cached_call_recording_a_graph_raises():
