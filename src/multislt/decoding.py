@@ -28,12 +28,17 @@ class Hypothesis:
 
 
 def _log_softmax(rows: np.ndarray) -> np.ndarray:
-    shifted = rows - rows.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = rows - np.maximum.reduce(rows, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def _length_norm(n_tokens: int, alpha: float) -> float:
+    """The divisor of a hypothesis' log-probability for its ``n_tokens``."""
+    return max(n_tokens, 1) ** alpha
 
 
 def _norm(logprob: float, n_tokens: int, alpha: float) -> float:
-    return logprob / max(n_tokens, 1) ** alpha
+    return logprob / _length_norm(n_tokens, alpha)
 
 
 def _check_search(beam: int, max_len: int):
@@ -77,17 +82,19 @@ def beam_decode(model: SpeechTransformer, vocab: Vocabulary, features: np.ndarra
             logp = _log_softmax(logits.data[:, -1])
             top = np.argsort(-logp, axis=-1, kind="stable")[:, :beam]
             top_lp = np.take_along_axis(logp, top, -1)
-            # (row, token, logprob): live[row]'s prefix plus one token, whose
-            # _norm counts the prefix's length (all but the BOS of the result)
+            # (row, token, logprob): live[row]'s prefix plus one token. Every
+            # step extends each live prefix by one token, so all have one
+            # length, and one divisor gives every candidate's _norm.
             candidates = [(row, tok, lp + tok_lp) for row, ((_, lp), toks, tok_lps)
                           in enumerate(zip(live, top.tolist(), top_lp.tolist()))
                           for tok, tok_lp in zip(toks, tok_lps)]
-            candidates.sort(key=lambda c: _norm(c[2], len(live[c[0]][0]), alpha), reverse=True)
+            norm = _length_norm(len(live[0][0]), alpha)
+            candidates.sort(key=lambda c: c[2] / norm, reverse=True)
             kept = [c for c in candidates if c[1] != EOS_ID][:beam]
             for row, tok, lp in candidates:
                 if tok == EOS_ID:
                     finished.append((live[row][0] + [tok], lp, False))
-                    best = max(best, _norm(lp, len(live[row][0]), alpha))
+                    best = max(best, lp / norm)
             live = [(live[row][0] + [tok], lp) for row, tok, lp in kept]
             if not live or best >= max(lp for _, lp in live) / max_len ** alpha:
                 break
