@@ -102,15 +102,28 @@ def normalize(fs: FeatureSequence) -> FeatureSequence:
 
 
 def read_wav(path: str) -> np.ndarray:
-    """16-bit PCM mono WAV at 16 kHz -> float samples in [-1, 1)."""
-    with wave.open(path, "rb") as w:
+    """16-bit PCM mono WAV at 16 kHz, of at least one window, -> float samples
+    in [-1, 1). Any other file raises ``AudioFormatError`` naming it."""
+    try:
+        w = wave.open(path, "rb")
+    except (wave.Error, EOFError, RuntimeError) as e:
+        # a bare EOFError: a cut header; RuntimeError: a chunk overruns RIFF's
+        reason = str(e) or "a chunk is cut short or overruns the RIFF chunk"
+        raise AudioFormatError(f"{path}: not a WAV file ({reason})") from None
+    with w:
         if w.getframerate() != SAMPLE_RATE:
             raise AudioFormatError(f"{path}: sample rate {w.getframerate()}, need {SAMPLE_RATE}")
         if w.getnchannels() != 1:
             raise AudioFormatError(f"{path}: {w.getnchannels()} channels, need mono")
         if w.getsampwidth() != 2:
             raise AudioFormatError(f"{path}: {8 * w.getsampwidth()}-bit, need 16-bit PCM")
-        raw = w.readframes(w.getnframes())
+        n, size = w.getnframes(), os.path.getsize(path)
+        raw = w.readframes(n) if 2 * n <= size else b""  # allocate no more than the file holds
+    if len(raw) < 2 * n:
+        raise AudioFormatError(f"{path}: truncated (its header claims {n} samples, "
+                               f"more than its {size} bytes hold)")
+    if n < WIN_LENGTH:
+        raise AudioFormatError(f"{path}: {n} samples, need at least {WIN_LENGTH}")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 

@@ -114,7 +114,7 @@ def cmd_extract(args) -> int:
 
     def utterances():
         for e in entries:
-            path = e.audio_path if os.path.isabs(e.audio_path) else os.path.join(base, e.audio_path)
+            path = os.path.join(base, e.audio_path)
             fs = mel_spectrogram(read_wav(path), e.utt_id)
             new_entries.append(ManifestEntry(f"data.feats#{e.utt_id}", e.transcript,
                                              e.target_text, e.lang, e.split))
@@ -148,7 +148,7 @@ def cmd_translate(args) -> int:
     alphabets = target_alphabets(entries)
     examples, hyps = decode_split(model, vocab, entries,
                                   os.path.dirname(os.path.abspath(args.manifest)),
-                                  args.split, args.beam, args.max_len, args.workers)
+                                  args.split, args.beam, args.max_len)
     with open(args.out, "w", encoding="utf-8") as f:
         for ex, hyp in zip(examples, hyps):
             detected = classify_language(hyp.text, alphabets) or "?"
@@ -158,12 +158,29 @@ def cmd_translate(args) -> int:
 
 
 def _read_hyps(path: str):
+    """(utt_id, lang, detected, score, text) rows of a hypothesis TSV."""
     rows = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            utt_id, lang, detected, score, *text = line.rstrip("\n").split("\t")
-            rows.append((utt_id, lang, detected, float(score), text[0] if text else ""))
+    # undecodable bytes become lone surrogates, which encode() rejects
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, 1):
+            try:
+                line.encode("utf-8")
+                utt_id, lang, detected, score, *text = line.rstrip("\n").split("\t")
+                rows.append((utt_id, lang, detected, float(score), text[0] if text else ""))
+            except ValueError as e:
+                raise UsageError(f"{path}:{lineno}: expected UTF-8 utt_id, lang, detected, "
+                                 f"score and text columns ({e})") from None
     return rows
+
+
+def _report(report: dict, out: str | None) -> int:
+    """Print ``report`` as JSON, and write it to ``out`` if given."""
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if out:
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text + "\n")
+    print(text)
+    return 0
 
 
 def cmd_evaluate(args) -> int:
@@ -178,14 +195,8 @@ def cmd_evaluate(args) -> int:
         ref = entries[utt_id].target_text
         by_lang.setdefault(lang, ([], []))[0].append(text)
         by_lang[lang][1].append(" ".join(ref) if args.char_level else ref)
-    report = {"bleu": {lang: bleu([" ".join(h) for h in hs] if args.char_level else hs, rs)
-                       for lang, (hs, rs) in sorted(by_lang.items())}}
-    out = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(out + "\n")
-    print(out)
-    return 0
+    return _report({"bleu": {lang: bleu([" ".join(h) for h in hs] if args.char_level else hs, rs)
+                             for lang, (hs, rs) in sorted(by_lang.items())}}, args.out)
 
 
 def cmd_audit(args) -> int:
@@ -193,38 +204,34 @@ def cmd_audit(args) -> int:
     entries = read_manifest(args.manifest, check_files=False)
     alphabets = target_alphabets(entries)
     acc = language_audit([(lang, text) for _, lang, _, _, text in hyps], alphabets)
-    report = {"language_accuracy": {k: acc[k] for k in sorted(acc)}}
-    out = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(out + "\n")
-    print(out)
-    return 0
+    return _report({"language_accuracy": {k: acc[k] for k in sorted(acc)}}, args.out)
 
 
 def cmd_gradcheck(args) -> int:
     from . import tensor as T
     from .tensor import Tensor, grad_check
     rng = np.random.default_rng(args.seed)
+    inputs, b = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=5))
+    conv = [Tensor(rng.normal(size=shape)) for shape in ((2, 1, 3, 3), 2, 2, 2)]
+    gamma, beta, bias = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6)), rng.normal(size=4)
+    ops = {  # name: (the op as a function of one operand, that operand's shape)
+        "linear": (lambda w: T.linear(inputs, w, b), (4, 5)),
+        "attention": (lambda q: T.attention(q, q, q, 0.5, bias, heads=2), (2, 4, 6)),
+        "conv_block": (lambda x: T.conv_block(x, *conv, True, np.zeros(2), np.ones(2),
+                                              stride=(2, 2)), (2, 1, 6, 5)),
+        "layer_norm": (lambda x: T.layer_norm(x, gamma, beta), (3, 6)),
+        "embedding": (lambda t: T.embedding(t, [[1, 3, 3], [0, 6, 2]]), (7, 4)),
+        "cross_entropy": (lambda x: T.cross_entropy(x, np.array([1, 3, 0, 2]), 0), (4, 5))}
     worst = {}
-    m_rhs = Tensor(rng.normal(size=(6, 4)))
-    worst["matmul"] = grad_check(
-        lambda x: T.tsum(T.matmul(x, m_rhs)), Tensor(rng.normal(size=(5, 6))))
-    s_weights = Tensor(rng.normal(size=(3, 7)))
-    worst["softmax"] = grad_check(
-        lambda x: T.tsum(T.mul(T.softmax(x, axis=-1), s_weights)),
-        Tensor(rng.normal(size=(3, 7))))
-    w, b = Tensor(rng.normal(size=(2, 1, 3, 3))), Tensor(rng.normal(size=2))
-    worst["conv2d"] = grad_check(
-        lambda x: T.tsum(T.conv2d(x, w, b, stride=(2, 2))),
-        Tensor(rng.normal(size=(1, 1, 6, 5))))
-    targets = np.array([1, 3, 0, 2])
-    worst["cross_entropy"] = grad_check(
-        lambda x: T.cross_entropy(x, targets, 0), Tensor(rng.normal(size=(4, 5))))
+    for name, (op, shape) in ops.items():
+        operand = Tensor(rng.normal(size=shape))
+        weights = Tensor(rng.normal(size=op(operand).shape))
+        worst[name] = grad_check(lambda t: T.tsum(T.mul(op(t), weights)), operand)
 
+    # in training mode with dropout 0, batch statistics are the only change
     cfg = ModelConfig(vocab_size=12, d_model=16, ff_hidden=32, n_heads=2,
-                      n_encoder_layers=2, n_decoder_layers=2)
-    model = SpeechTransformer(cfg, seed=args.seed).eval()
+                      n_encoder_layers=2, n_decoder_layers=2, dropout=0.0)
+    model = SpeechTransformer(cfg, seed=args.seed)
     feats = rng.normal(size=(2, 12, 40))
     prefix = np.array([[1, 4, 5], [1, 6, 7]])
     labels = np.array([4, 5, 2, 6, 7, 2])
@@ -234,14 +241,13 @@ def cmd_gradcheck(args) -> int:
         logits = model.decode_logits(enc, prefix)
         return T.cross_entropy(T.reshape(logits, (-1, 12)), labels, 0)
 
-    worst["full_model"] = grad_check(full, Tensor(feats), sample=60,
-                                     rng=np.random.default_rng(args.seed))
-    ok = True
+    for name, mode in (("full_model", model.eval), ("full_model_train", model.train)):
+        mode()
+        worst[name] = grad_check(full, Tensor(feats), sample=60,
+                                 rng=np.random.default_rng(args.seed))
     for name, err in worst.items():
-        status = "ok" if err < 1e-4 else "FAIL"
-        print(f"{name:14s} max rel err {err:.3e}  {status}")
-        ok &= err < 1e-4
-    return 0 if ok else 2
+        print(f"{name:16s} max rel err {err:.3e}  {'ok' if err < 1e-4 else 'FAIL'}")
+    return 0 if all(err < 1e-4 for err in worst.values()) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     td.add_argument("--out", required=True)
     td.add_argument("--beam", type=int, default=1)
     td.add_argument("--max-len", type=int, default=50)
-    td.add_argument("--workers", type=int, default=1)
     td.set_defaults(func=cmd_translate)
 
     ev = sub.add_parser("evaluate", help="BLEU report from a hypothesis TSV")

@@ -61,9 +61,7 @@ def read_manifest(path: str, languages: list[str] | None = None,
             if languages is not None and lang not in languages:
                 raise ManifestError(f"{path}:{lineno}: unknown language tag {lang!r}")
             if check_files:
-                fpath = audio_path.split("#", 1)[0]
-                if not os.path.isabs(fpath):
-                    fpath = os.path.join(base, fpath)
+                fpath = os.path.join(base, audio_path.split("#", 1)[0])
                 if not os.path.exists(fpath):
                     raise ManifestError(f"{path}:{lineno}: missing file {audio_path!r}")
             entries.append(ManifestEntry(audio_path, transcript, target, lang, split))

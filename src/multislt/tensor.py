@@ -355,6 +355,12 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
     return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
+def log_softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis of an array, reduced as in ``_softmax``."""
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+
+
 def _softmax_grad(p: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     gy = p * g
     return gy - p * gy.sum(axis=axis, keepdims=True)
@@ -667,9 +673,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, pad_id: int) -> Tensor:
     bad = valid & ((targets < 0) | (targets >= V))
     if bad.any():
         raise IndexError(f"cross_entropy: target id out of range [0, {V})")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
+    logp = log_softmax_rows(logits.data)
     safe = np.where(valid, targets, 0)
     data = -(logp[np.arange(len(targets)), safe] * valid).sum() / n
 

@@ -139,8 +139,7 @@ def load_examples(entries: list[ManifestEntry], vocab: Vocabulary,
         target_ids = vocab.encode(e.target_text, add_bos_eos=False)
         if "#" in e.audio_path:
             arc_path, utt_id = e.audio_path.split("#", 1)
-            if not os.path.isabs(arc_path):
-                arc_path = os.path.join(base_dir, arc_path)
+            arc_path = os.path.join(base_dir, arc_path)
             if arc_path not in archives:
                 archives[arc_path] = (audio.FeatureArchive(arc_path), [])
             archive, utt_ids = archives[arc_path]
@@ -148,9 +147,7 @@ def load_examples(entries: list[ManifestEntry], vocab: Vocabulary,
             out.append(Example(utt_id, functools.partial(_archive_features, archive, utt_id),
                                target_ids, e.lang))
         else:
-            path = e.audio_path
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
+            path = os.path.join(base_dir, e.audio_path)
             fs = audio.normalize(audio.mel_spectrogram(audio.read_wav(path), e.utt_id))
             out.append(Example(fs.utt_id, fs.frames, target_ids, e.lang))
     fdim = None  # one feature dimension for every archive record of the split
@@ -231,11 +228,15 @@ def train_step(model: SpeechTransformer, batches: list[Batch],
     return float(np.mean(losses))
 
 
+def asr_rows(entries) -> list[ManifestEntry]:
+    """One row per entry with a transcript, targeting it as language "en"."""
+    return [ManifestEntry(e.audio_path, e.transcript, e.transcript, "en", e.split)
+            for e in entries if e.transcript]
+
+
 def mix_asr(entries: list[ManifestEntry]) -> list[ManifestEntry]:
     """Emit extra rows using the English transcript as target language "en"."""
-    extra = [ManifestEntry(e.audio_path, e.transcript, e.transcript, "en", e.split)
-             for e in entries if e.lang != "en" and e.transcript]
-    return entries + extra
+    return entries + asr_rows(e for e in entries if e.lang != "en")
 
 
 # checkpoints -----------------------------------------------------------
@@ -461,8 +462,7 @@ def train_run(rc: RunConfig, verbose: bool = False):
     """
     entries = read_manifest(rc.manifest, check_files=False)
     if rc.subcommand == "asr-pretrain":
-        entries = [ManifestEntry(e.audio_path, e.transcript, e.transcript, "en", e.split)
-                   for e in entries if e.transcript]
+        entries = asr_rows(entries)
     elif rc.mix_asr:
         entries = mix_asr(entries)
     languages = sorted({e.lang for e in entries})

@@ -289,3 +289,38 @@ def test_flipped_archive_bytes_raise_only_value_error_naming_it(tmp_path_factory
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peak < 1_000_000 and time.perf_counter() - t0 < 1.0
+
+
+def _wav_bytes(tmp_path, n_samples: int) -> bytes:
+    path = str(tmp_path / "valid.wav")
+    write_wav(path, np.random.default_rng(5).uniform(-0.5, 0.5, n_samples))
+    return Path(path).read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 44 + 2 * 600),
+       st.lists(st.tuples(st.integers(0, 47), st.integers(0, 255)), max_size=4),
+       st.one_of(st.none(), st.binary(max_size=64)))
+def test_malformed_wav_raises_only_audio_format_error_naming_it(tmp_path_factory, cut, flips,
+                                                                 random_bytes):
+    """A 600-sample WAV cut short, with header bytes overwritten, or random
+    bytes: read_wav returns at least one window of samples or raises
+    AudioFormatError naming the file, within time and memory bounds."""
+    import time
+    import tracemalloc
+
+    tmp = tmp_path_factory.mktemp("wav")
+    blob = _wav_bytes(tmp, 600)[:cut] if random_bytes is None else random_bytes
+    path = tmp / "x.wav"
+    path.write_bytes(_flip(blob, flips) if blob else blob)
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        samples = audio.read_wav(str(path))
+        assert samples.ndim == 1 and len(samples) >= audio.WIN_LENGTH
+    except audio.AudioFormatError as e:
+        assert str(path) in str(e), e
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 1_000_000 and time.perf_counter() - t0 < 1.0

@@ -164,6 +164,19 @@ def test_evaluate_unknown_hypothesis_id_exits_1(dataset, tmp_path, capsys):
     assert "no_such_utt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "audit"])
+@pytest.mark.parametrize("row", [b"L0_000001\tL0\n", b"L0_000001\tL0\tL0\tnotnum\tabc\n",
+                                 b"L0_000001\tL0\tL0\t-1.0\tab\xffc\n"],
+                         ids=["short-row", "non-numeric-score", "non-utf8"])
+def test_malformed_hypothesis_row_exits_1(dataset, tmp_path, capsys, command, row):
+    hyp = tmp_path / "hyp.tsv"
+    hyp.write_bytes(b"L0_000000\tL0\tL0\t-1.0\tabc\n" + row)
+    out = str(tmp_path / "report.json")
+    _exits_1_with_message(capsys, [command, "--hyp", str(hyp), "--manifest",
+                                   os.path.join(dataset, "manifest.tsv"), "--out", out],
+                          out, f"{hyp}:2")
+
+
 def test_translate_evaluate_audit_round_trip(dataset, tmp_path):
     code, ckpt, _ = _train(dataset, tmp_path)
     assert code == 0
@@ -421,6 +434,41 @@ def test_extract_bad_wav_leaves_no_archive(tmp_path, capsys):
     _exits_1_with_message(capsys, ["extract", "--manifest", str(src), "--out-dir", str(out)],
                           str(out / "manifest.tsv"), "u2.wav", "sample rate 8000")
     assert sorted(os.listdir(out)) == []
+
+
+@pytest.mark.parametrize("command", ["extract", "train"])
+@pytest.mark.parametrize("case", ["not-riff", "riff-only", "too-short"])
+def test_malformed_wav_exits_1(tmp_path, capsys, command, case):
+    write_wav(str(tmp_path / "good.wav"), np.random.default_rng(0).normal(0, 0.1, 6000))
+    bad = tmp_path / "bad.wav"
+    if case == "too-short":
+        write_wav(str(bad), np.zeros(399))
+    else:
+        bad.write_bytes(b"RIFF" if case == "riff-only" else b"not a WAV file")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("good.wav\tabc\tABC\tL0\ttrain\nbad.wav\tabc\tABC\tL0\ttrain\n")
+    out = tmp_path / "out"
+    if command == "extract":
+        argv = ["extract", "--manifest", str(manifest), "--out-dir", str(out)]
+        made = out / "manifest.tsv"
+    else:
+        argv = ["train", "--manifest", str(manifest), "--steps", "1", "--save", str(out)]
+        made = out
+    _exits_1_with_message(capsys, argv, str(made), str(bad))
+    assert not os.path.exists(out / "data.feats")
+
+
+def test_train_on_absolute_archive_paths(dataset, tmp_path):
+    manifest = str(tmp_path / "absolute.tsv")
+    write_manifest(manifest, [ManifestEntry(os.path.join(dataset, e.audio_path), e.transcript,
+                                            e.target_text, e.lang, e.split)
+                              for e in read_manifest(os.path.join(dataset, "manifest.tsv"))])
+    code, relative, _ = _train(dataset, tmp_path)
+    assert code == 0
+    absolute = str(tmp_path / "absolute.ckpt")
+    assert main(["train", "--manifest", manifest, "--steps", "2", "--accum", "1", "--seed", "1",
+                 "--save", absolute]) == 0
+    assert Path(absolute).read_bytes() == Path(relative).read_bytes()
 
 
 def test_gradcheck_subcommand_passes():

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from multislt import decoding
 from multislt.decoding import beam_decode, decode_corpus, greedy_decode
 from multislt.manifest import EOS_ID, Vocabulary
 from multislt.model import ModelConfig, SpeechTransformer
@@ -72,44 +75,51 @@ def test_beam_five_not_worse_than_greedy():
         assert bs >= gs - 1e-9
 
 
-def test_decoding_deterministic_across_worker_counts():
+def test_decoding_deterministic_across_worker_counts(monkeypatch):
     m = _model(seed=7)
     rng = np.random.default_rng(8)
     items = [(rng.normal(size=(rng.integers(8, 20), 40)), None) for _ in range(12)]
     serial = decode_corpus(m, VOCAB, items, workers=1, max_len=10)
+    threads = []
+
+    def spy(*args, **kwargs):
+        threads.append((threading.current_thread(), threading.active_count()))
+        return beam_decode(*args, **kwargs)
+
+    monkeypatch.setattr(decoding, "beam_decode", spy)
     parallel = decode_corpus(m, VOCAB, items, workers=8, max_len=10)
+    assert threads == [(threading.current_thread(), threading.active_count())] * len(items)
     assert [h.ids for h in serial] == [h.ids for h in parallel]
     assert [h.text for h in serial] == [h.text for h in parallel]
 
 
-def test_thread_pool_reads_features_as_it_decodes(tmp_path):
-    """With 2 workers, decode_split takes its utterances in a bounded window,
-    so its traced peak stays within twice the one-worker peak (1.4 and 1.9
-    MB measured); submitting every utterance at once held all 300 test
-    utterances' features (5.8 MB)."""
+def test_decode_split_memory_does_not_grow_with_split(tmp_path):
+    """decode_split reads each utterance's features as it decodes it: from 10
+    to 100 test utterances, its traced peak grows by the examples and
+    hypotheses (0.07 MB measured), not by the 90 more feature matrices that
+    a list of every utterance's features holds (1.8 MB measured)."""
     import tracemalloc
 
-    from multislt.decoding import decode_split
-    from multislt.manifest import build_vocab
-    from multislt.synth import default_languages, synth_dataset
+    from multislt.audio import FeatureSequence, write_feature_archive
+    from multislt.manifest import ManifestEntry
 
-    languages = default_languages(3)
-    _, entries = synth_dataset(str(tmp_path), seed=5, n_utt_per_lang=2000, languages=languages)
-    vocab = build_vocab(entries, [lang.lang_id for lang in languages])
-    cfg = ModelConfig(vocab_size=len(vocab), d_model=8, ff_hidden=8, n_heads=2,
-                      n_encoder_layers=1, n_decoder_layers=1)
-    m = SpeechTransformer(cfg).eval()
-    peaks, hyps = [], []
-    for workers in (1, 2):
+    m = _model()
+    rng = np.random.default_rng(0)
+    peaks = []
+    for n in (10, 100):
+        root = tmp_path / str(n)
+        root.mkdir()
+        frames = (FeatureSequence(f"u{i}", rng.normal(size=(60, 40))) for i in range(n))
+        write_feature_archive(str(root / "x.feats"), frames)
+        entries = [ManifestEntry(f"x.feats#u{i}", "ab", "ab", "L0", "test") for i in range(n)]
         tracemalloc.start()
         try:
-            hyps.append(decode_split(m, vocab, entries, str(tmp_path), "test", max_len=1,
-                                     workers=workers)[1])
+            _, hyps = decoding.decode_split(m, VOCAB, entries, str(root), "test", max_len=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert len(hyps[0]) == 300 and hyps[0] == hyps[1]
-    assert peaks[1] < 2 * peaks[0], peaks
+        assert len(hyps) == n
+    assert peaks[1] - peaks[0] <= 1_000_000, peaks
 
 
 def test_decoded_text_excludes_reserved_tokens():
