@@ -49,18 +49,17 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int = N_MELS, n_fft: int = N_FFT,
-                   sr: int = SAMPLE_RATE, fmin: float = 0.0, fmax: float = 8000.0):
-    """Triangular filters on the MEL scale.
+def mel_filterbank():
+    """Triangular filters on the MEL scale, spanning 0 to SAMPLE_RATE / 2.
 
-    Returns (filters of shape n_mels×(n_fft//2+1), center frequencies in Hz).
+    Returns (filters of shape N_MELS×(N_FFT//2+1), center frequencies in Hz).
     """
-    n_bins = n_fft // 2 + 1
-    fft_freqs = np.arange(n_bins) * sr / n_fft
-    mel_pts = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
+    n_bins = N_FFT // 2 + 1
+    fft_freqs = np.arange(n_bins) * SAMPLE_RATE / N_FFT
+    mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2), N_MELS + 2)
     hz_pts = mel_to_hz(mel_pts)
-    filters = np.zeros((n_mels, n_bins))
-    for i in range(n_mels):
+    filters = np.zeros((N_MELS, n_bins))
+    for i in range(N_MELS):
         lo, mid, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
         up = (fft_freqs - lo) / (mid - lo)
         down = (hi - fft_freqs) / (hi - mid)

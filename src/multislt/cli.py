@@ -21,9 +21,9 @@ from .audio import mel_spectrogram, read_wav, write_feature_archive
 from .decoding import decode_split
 from .evaluate import bleu, classify_language, language_audit, target_alphabets
 from .forcing import MODES, SITES
-from .manifest import ManifestError, ManifestEntry, read_manifest, write_manifest
+from .manifest import ManifestEntry, read_manifest, write_manifest
 from .model import ModelConfig, SpeechTransformer
-from .trainer import CheckpointError, RunConfig, load_checkpoint, train_run
+from .trainer import RunConfig, load_checkpoint, train_run
 from . import synth as synthmod
 
 
@@ -313,8 +313,7 @@ def main(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ManifestError, CheckpointError, FileNotFoundError,
-            ValueError) as e:
+    except (FileNotFoundError, ValueError) as e:  # UsageError and the readers' errors too
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (FloatingPointError, OSError) as e:

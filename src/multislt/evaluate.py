@@ -10,7 +10,7 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(hypotheses: list[str], references: list[str], max_n: int = 4) -> float:
+def bleu(hypotheses: list[str], references: list[str]) -> float:
     """Corpus-level BLEU in [0, 100], whitespace tokenization.
 
     Zero n-gram matches for n >= 2 take an add-one smoothed path; the
@@ -20,6 +20,7 @@ def bleu(hypotheses: list[str], references: list[str], max_n: int = 4) -> float:
         raise ValueError(f"corpus size mismatch: {len(hypotheses)} vs {len(references)}")
     if not hypotheses:
         raise ValueError("empty corpus")
+    max_n = 4  # the highest n-gram order
     matches = [0] * max_n
     totals = [0] * max_n
     hyp_len = ref_len = 0

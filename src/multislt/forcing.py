@@ -61,15 +61,11 @@ def apply_merge(x: Tensor, l: Tensor) -> Tensor:
 
 
 class TargetForcing(Module):
-    """Dispatches concat/merge injection for one configured site."""
+    """Concat or merge injection from one language-embedding table; the model picks the site."""
 
-    def __init__(self, mode: str, site: str, languages, width: int,
-                 rng: np.random.Generator):
+    def __init__(self, mode: str, languages, width: int, rng: np.random.Generator):
         super().__init__()
-        if mode not in MODES or site not in SITES:
-            raise ValueError(f"unconfigured forcing mode/site: {mode!r}/{site!r}")
         self.mode = mode
-        self.site = site
         self.table = LanguageEmbeddingTable(languages, width, rng)
 
     def _vectors(self, x: Tensor, langs) -> Tensor:

@@ -37,8 +37,7 @@ class ManifestEntry:
         return os.path.splitext(os.path.basename(self.audio_path))[0]
 
 
-def read_manifest(path: str, languages: list[str] | None = None,
-                  check_files: bool = True) -> list[ManifestEntry]:
+def read_manifest(path: str, check_files: bool = True) -> list[ManifestEntry]:
     entries = []
     base = os.path.dirname(os.path.abspath(path))
     # undecodable bytes become lone surrogates, which UTF-8 text never holds
@@ -58,8 +57,6 @@ def read_manifest(path: str, languages: list[str] | None = None,
             audio_path, transcript, target, lang, split = cols
             if not target:
                 raise ManifestError(f"{path}:{lineno}: empty target text")
-            if languages is not None and lang not in languages:
-                raise ManifestError(f"{path}:{lineno}: unknown language tag {lang!r}")
             if check_files:
                 fpath = os.path.join(base, audio_path.split("#", 1)[0])
                 if not os.path.exists(fpath):
@@ -88,9 +85,9 @@ class Vocabulary:
     def __len__(self):
         return len(RESERVED) + len(self.chars)
 
-    def encode(self, text: str, add_bos_eos: bool = True) -> list[int]:
-        ids = [self.char_to_id.get(c, UNK_ID) for c in text]
-        return [BOS_ID] + ids + [EOS_ID] if add_bos_eos else ids
+    def encode(self, text: str) -> list[int]:
+        """Character ids, without bos or eos; unseen characters map to unk."""
+        return [self.char_to_id.get(c, UNK_ID) for c in text]
 
     def decode(self, ids) -> str:
         return "".join(self.id_to_char[i] for i in ids if i in self.id_to_char)

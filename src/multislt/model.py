@@ -56,6 +56,8 @@ class ModelConfig:
             value = getattr(self, name)
             if not (type(value) is int and value > 0):
                 raise ValueError(f"{name} must be a positive int, got {value!r}")
+        if not (type(self.dropout) in (int, float) and 0 <= self.dropout < 1):
+            raise ValueError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
         if self.d_model % self.n_heads:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.forcing_mode not in MODES or self.forcing_site not in SITES:
@@ -152,13 +154,16 @@ class KVCache:
         self.grow = grow
         self.k = self.v = None
 
-    def append(self, k: np.ndarray, v: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Cache the B×t×d keys and values of t more positions; returns those
-        of every position held."""
-        if self.k is not None and self.grow:
-            k, v = np.concatenate([self.k, k], axis=1), np.concatenate([self.v, v], axis=1)
-        self.k, self.v = k, v
-        return Tensor(k), Tensor(v)
+    def keys_values(self, wk, wv, kv: Tensor) -> tuple[Tensor, Tensor]:
+        """The keys and values of every position held, after projecting
+        ``kv`` with ``wk`` and ``wv`` unless this is a cross-attention cache
+        that already holds its memory's."""
+        if self.k is None or self.grow:
+            k, v = wk(kv).data, wv(kv).data
+            if self.k is not None:
+                k, v = np.concatenate([self.k, k], axis=1), np.concatenate([self.v, v], axis=1)
+            self.k, self.v = k, v
+        return Tensor(self.k), Tensor(self.v)
 
     def select(self, rows):
         # a memory of batch 1 serves every row, so it is not gathered
@@ -189,10 +194,8 @@ class MultiHeadAttention(Module):
         and values come from it as well (see ``KVCache``)."""
         if cache is None:
             k, v = self.wk(kv), self.wv(kv)
-        elif cache.k is not None and not cache.grow:
-            k, v = Tensor(cache.k), Tensor(cache.v)
         else:
-            k, v = cache.append(self.wk(kv).data, self.wv(kv).data)
+            k, v = cache.keys_values(self.wk, self.wv, kv)
         out = T.attention(self.wq(query), k, v, self.d_head ** -0.5, bias, heads=self.n_heads)
         return self.wo(out)
 
@@ -281,7 +284,6 @@ class SA2D(Module):
 class Encoder(Module):
     def __init__(self, cfg: ModelConfig, rng):
         super().__init__()
-        self.cfg = cfg
         ch = cfg.frontend_channels
         self.front1 = ConvBlock(1, ch, (2, 2), rng)
         self.front2 = ConvBlock(ch, ch, (2, 2), rng)
@@ -296,7 +298,6 @@ class Encoder(Module):
 class Decoder(Module):
     def __init__(self, cfg: ModelConfig, rng):
         super().__init__()
-        self.cfg = cfg
         self.embed = Embedding(cfg.vocab_size, cfg.d_model, rng)
         self.pe_drop = Dropout(cfg.dropout)
         self.layers = ModuleList(DecoderLayer(cfg, rng) for _ in range(cfg.n_decoder_layers))
@@ -332,8 +333,8 @@ class SpeechTransformer(Module):
         self.encoder = Encoder(cfg, rng)
         self.decoder = Decoder(cfg, rng)
         if cfg.forcing_mode != "none":
-            self.forcing = TargetForcing(cfg.forcing_mode, cfg.forcing_site,
-                                         cfg.languages, _forcing_width(cfg), rng)
+            self.forcing = TargetForcing(cfg.forcing_mode, cfg.languages,
+                                         _forcing_width(cfg), rng)
         else:
             self.forcing = None
 
@@ -357,9 +358,7 @@ class SpeechTransformer(Module):
         ``features`` may be a numpy array or a Tensor (so gradient checks can
         reach the input).
         """
-        x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
-        if x.ndim == 2:
-            x = T.reshape(x, (1,) + x.shape)
+        x = features if isinstance(features, Tensor) else Tensor(features)
         B = x.shape[0]
         lengths = np.asarray(lengths, dtype=np.int64)
         langs = self._langs(langs, B)
@@ -402,8 +401,6 @@ class SpeechTransformer(Module):
         and the logits are B×(L - cached)×V.
         """
         ids = np.asarray(prefix_ids, dtype=np.int64)
-        if ids.ndim == 1:
-            ids = ids[None]
         B, L = ids.shape
         langs = self._langs(langs, B)
         dec = self.decoder

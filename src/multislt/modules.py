@@ -42,9 +42,6 @@ class Module:
         for name, child in self._children.items():
             yield from child.named_buffers(prefix + name + ".")
 
-    def parameters(self):
-        return [p for _, p in self.named_parameters()]
-
     def train(self):
         self.training = True
         for c in self._children.values():
@@ -143,14 +140,13 @@ class ConvBlock(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         super().__init__()
-        self.eps = eps
         self.gamma = _param(np.ones(d))
         self.beta = _param(np.zeros(d))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 class Dropout(Module):

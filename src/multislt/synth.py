@@ -18,7 +18,7 @@ from .manifest import ManifestEntry, write_manifest
 
 N_FEAT = 40
 FRAMES_PER_TOKEN = 8
-SOURCE_LETTERS = "abcdefghijklmnopqrst"  # token_vocab <= 20 by default
+SOURCE_LETTERS = "abcdefghijklmnopqrst"  # one per token, so token_vocab <= 20
 LEN_RANGE = (3, 10)     # tokens per utterance, inclusive
 SPLITS = (0.9, 0.05)    # train and dev shares; the rest is test
 
@@ -86,6 +86,8 @@ def synth_dataset(out_dir: str, seed: int, n_utt_per_lang: int,
     Returns (manifest_path, entries). Split tags: first 90% train, then 5%
     dev, rest test (per language, in generation order).
     """
+    if not 1 <= token_vocab <= len(SOURCE_LETTERS):
+        raise ValueError(f"token_vocab must be in 1..{len(SOURCE_LETTERS)}, got {token_vocab}")
     os.makedirs(out_dir, exist_ok=True)
     patterns = token_patterns(seed, token_vocab)
     rng = np.random.default_rng((seed, 1))

@@ -9,10 +9,12 @@ Inside ``no_grad()`` ops build no nodes, which is how inference runs.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 
 import numpy as np
+
+EPS = 1e-5  # added to the variance by layer_norm and batch_norm
+BN_MOMENTUM = 0.1  # batch norm's running-statistics update rate
 
 
 class ShapeError(ValueError):
@@ -121,37 +123,33 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-class _GradMode(threading.local):
-    enabled = True  # each thread starts with recording on
-
-
-_grad_mode = _GradMode()
+_grad_enabled = True  # False inside ``no_grad``
 
 
 @contextmanager
 def no_grad():
-    """Inference mode for the calling thread: ops record no graph.
+    """Inference mode: ops record no graph.
 
     Inside the block every op returns a constant (no parents, no
-    ``requires_grad``), so nothing is kept for a backward pass. Other
-    threads keep recording; the previous mode is restored on exit.
+    ``requires_grad``), so nothing is kept for a backward pass. The
+    previous mode is restored on exit.
     """
-    prev = _grad_mode.enabled
-    _grad_mode.enabled = False
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
     try:
         yield
     finally:
-        _grad_mode.enabled = prev
+        _grad_enabled = prev
 
 
 def grad_enabled() -> bool:
-    """Whether ops in the calling thread record a graph (outside ``no_grad``)."""
-    return _grad_mode.enabled
+    """Whether ops record a graph (outside ``no_grad``)."""
+    return _grad_enabled
 
 
 def _records(parents) -> bool:
     """Whether an op on ``parents`` builds a node, so a backward can run."""
-    return _grad_mode.enabled and any(p.requires_grad for p in parents)
+    return _grad_enabled and any(p.requires_grad for p in parents)
 
 
 def _make(data, parents, backward) -> Tensor:
@@ -250,8 +248,6 @@ def tanh(a: Tensor) -> Tensor:
 # structural ------------------------------------------------------------
 
 def _matmul(a: np.ndarray, b: np.ndarray, op: str = "matmul") -> np.ndarray:
-    if a.ndim < 1 or b.ndim < 1 or a.shape[-1] != b.shape[-2 if b.ndim > 1 else 0]:
-        raise ShapeError(f"{op}: incompatible shapes {a.shape} x {b.shape}")
     try:
         return np.matmul(a, b)
     except ValueError as e:
@@ -450,13 +446,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     return _make(data, (q, k, v), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis; gamma/beta broadcast over it."""
     # np.mean is a sum and a true divide; np.var's steps reuse the centred input.
     # np.add.reduce is the ufunc reduce that ndarray.sum calls through a wrapper.
     n = x.shape[-1]
     xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + EPS)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
 
@@ -473,8 +469,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def _batch_norm(h: np.ndarray, gamma: Tensor, beta: Tensor, training: bool,
-                running_mean: np.ndarray, running_var: np.ndarray,
-                momentum: float, eps: float):
+                running_mean: np.ndarray, running_var: np.ndarray):
     """Channel-wise batch norm of the B×C×H×W array ``h``.
 
     ``h`` is centred and normalised in place, so it ends as x̂. Returns the
@@ -492,14 +487,14 @@ def _batch_norm(h: np.ndarray, gamma: Tensor, beta: Tensor, training: bool,
         mu = h.sum(axis=axes) / n
         h -= mu.reshape(cshape)
         var = (h * h).sum(axis=axes) / n
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * n / max(n - 1, 1)
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var * n / max(n - 1, 1)
     else:
         h -= running_mean.reshape(cshape)
         var = running_var
-    inv = 1.0 / np.sqrt(var + eps).reshape(cshape)
+    inv = 1.0 / np.sqrt(var + EPS).reshape(cshape)
     h *= inv
     xhat = h
     data = xhat * gamma.data.reshape(cshape) + beta.data.reshape(cshape)
@@ -518,8 +513,7 @@ def _batch_norm(h: np.ndarray, gamma: Tensor, beta: Tensor, training: bool,
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, training: bool,
-               running_mean: np.ndarray, running_var: np.ndarray,
-               momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               running_mean: np.ndarray, running_var: np.ndarray) -> Tensor:
     """Channel-wise batch norm on B×C×H×W input.
 
     Training mode normalizes over batch+spatial axes and updates the running
@@ -528,7 +522,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, training: bool,
     if x.ndim != 4:
         raise ShapeError(f"batch_norm expects a 4-axis input, got {x.shape}")
     data, bn_backward = _batch_norm(x.data.copy(order="K"), gamma, beta, training,
-                                    running_mean, running_var, momentum, eps)
+                                    running_mean, running_var)
 
     def backward(g):
         x._accumulate(bn_backward(g))
@@ -618,7 +612,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1)) -> Tensor:
 
 def conv_block(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Tensor,
                training: bool, running_mean: np.ndarray, running_var: np.ndarray,
-               stride=(1, 1), momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               stride=(1, 1)) -> Tensor:
     """``batch_norm(relu(conv2d(x)))`` as one node.
 
     The convolution's output is private to the op, so ReLU, centring and
@@ -632,8 +626,7 @@ def conv_block(x: Tensor, weight: Tensor, bias: Tensor, gamma: Tensor, beta: Ten
     h, conv_backward = _conv2d(x, weight, bias, stride)
     mask = h > 0.0 if _records(parents) else None
     np.maximum(h, 0.0, out=h)
-    data, bn_backward = _batch_norm(h, gamma, beta, training, running_mean, running_var,
-                                    momentum, eps)
+    data, bn_backward = _batch_norm(h, gamma, beta, training, running_mean, running_var)
 
     def backward(g):
         gh = bn_backward(g)
@@ -686,13 +679,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, pad_id: int) -> Tensor:
     return _make(data, (logits,), backward)
 
 
-def grad_check(fn, x: Tensor, eps: float = 1e-5,
-               sample: int | None = None, rng: np.random.Generator | None = None) -> float:
+def grad_check(fn, x: Tensor, sample: int | None = None,
+               rng: np.random.Generator | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     ``fn`` maps a Tensor to a scalar Tensor and must be deterministic
-    (dropout in eval mode). With ``sample`` set, only that many randomly
-    chosen coordinates are probed.
+    (dropout in eval mode). With ``sample`` set, only that many coordinates,
+    drawn from ``rng``, are probed.
     """
     x.requires_grad = True
     x.zero_grad()
@@ -702,11 +695,10 @@ def grad_check(fn, x: Tensor, eps: float = 1e-5,
 
     coords = list(np.ndindex(*x.shape)) if x.ndim else [()]
     if sample is not None and sample < len(coords):
-        if rng is None:
-            rng = np.random.default_rng(0)
         picked = rng.choice(len(coords), size=sample, replace=False)
         coords = [coords[i] for i in picked]
 
+    eps = 1e-5  # the central difference's step
     worst = 0.0
     for c in coords:
         orig = x.data[c]

@@ -136,7 +136,7 @@ def load_examples(entries: list[ManifestEntry], vocab: Vocabulary,
     for e in entries:
         if split is not None and e.split != split:
             continue
-        target_ids = vocab.encode(e.target_text, add_bos_eos=False)
+        target_ids = vocab.encode(e.target_text)
         if "#" in e.audio_path:
             arc_path, utt_id = e.audio_path.split("#", 1)
             arc_path = os.path.join(base_dir, arc_path)
@@ -369,7 +369,7 @@ def _check_sizes(path: str, cfg: ModelConfig, tensors: dict):
                                   f"but its tensor record {found}")
 
 
-def load_checkpoint(path: str, seed: int = 0):
+def load_checkpoint(path: str):
     """Rebuild (model, vocab, adam state) from a checkpoint file."""
     header, tensors = read_checkpoint(path)
     a = header["adam"]
@@ -386,7 +386,7 @@ def load_checkpoint(path: str, seed: int = 0):
         raise CheckpointError(f"{path}: vocab size {len(vocab)} does not match "
                               f"config vocab_size {cfg.vocab_size}")
     _check_sizes(path, cfg, tensors)
-    model = SpeechTransformer(cfg, seed=seed)
+    model = SpeechTransformer(cfg)  # every parameter is overwritten below
     state_dict = {name: arr for (name, kind), arr in tensors.items()
                   if kind in ("param", "buffer")}
     try:
@@ -449,6 +449,11 @@ class RunConfig:
     n_decoder_layers: int = DESK["n_decoder_layers"]
     n_heads: int = DESK["n_heads"]
     dropout: float = ModelConfig.dropout
+
+    def __post_init__(self):
+        for name, least in (("steps", 0), ("accum", 1), ("warmup", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 def train_run(rc: RunConfig, verbose: bool = False):

@@ -92,6 +92,28 @@ def test_config_file_bad_value_is_usage_error(dataset, tmp_path, values):
     assert code == 1
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("name,value", [("accum", 0), ("accum", -2), ("warmup", 0),
+                                        ("steps", -3), ("dropout", 1.0)])
+def test_out_of_range_run_setting_exits_1(dataset, tmp_path, capsys, source, name, value):
+    if source == "flag":
+        given = ["--" + name, str(value)]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({name: value}))
+        given = ["--config", str(cfg)]
+    ckpt = str(tmp_path / "model.ckpt")
+    _exits_1_with_message(capsys, ["train", "--manifest", os.path.join(dataset, "manifest.tsv"),
+                                   "--save", ckpt, *given], ckpt, name)
+
+
+@pytest.mark.parametrize("token_vocab", ["0", "21", "30"])
+def test_synth_token_vocab_out_of_range_exits_1(tmp_path, capsys, token_vocab):
+    out = str(tmp_path / "data")
+    _exits_1_with_message(capsys, ["synth", "--out-dir", out, "--n-utt", "10",
+                                   "--token-vocab", token_vocab], out, "token_vocab")
+
+
 def test_asr_pretrain_has_no_forcing_flags(dataset, tmp_path):
     manifest = os.path.join(dataset, "manifest.tsv")
     log = str(tmp_path / "asr.log")
@@ -271,13 +293,14 @@ def _exits_1_with_message(capsys, argv, out, *names):
                                   lambda h: h["config"].update(n_heads=0),
                                   lambda h: h["config"].update(d_model="8"),
                                   lambda h: h["config"].update(d_model=10**12),
-                                  lambda h: h["config"].update(n_encoder_layers=10**12)],
+                                  lambda h: h["config"].update(n_encoder_layers=10**12),
+                                  lambda h: h["config"].update(dropout=1.5)],
                          ids=["unknown-config-key", "no-vocab-size", "no-vocab",
                               "tensors-not-a-list", "record-not-an-object", "no-offset",
                               "negative-offset", "float-offset", "shape-not-a-list",
                               "negative-dim", "no-name", "unknown-kind", "adam-empty",
                               "adam-list", "adam-string-beta1", "zero-heads", "string-size",
-                              "huge-d-model", "huge-layer-count"])
+                              "huge-d-model", "huge-layer-count", "dropout-1.5"])
 def test_translate_malformed_checkpoint_header_exits_1(dataset, tmp_path, capsys, edit):
     cfg = ModelConfig(vocab_size=9, d_model=8, ff_hidden=8, n_heads=2,
                       n_encoder_layers=1, n_decoder_layers=1)

@@ -6,7 +6,7 @@ import pytest
 from multislt import decoding
 from multislt.decoding import beam_decode, decode_corpus, greedy_decode
 from multislt.manifest import EOS_ID, Vocabulary
-from multislt.model import ModelConfig, SpeechTransformer
+from multislt.model import ModelConfig, SpeechTransformer, encoder_length
 
 
 def _model(seed=0):
@@ -73,6 +73,38 @@ def test_beam_five_not_worse_than_greedy():
         gs = g.logprob / max(len(g.ids) - 1, 1) ** alpha
         bs = b.logprob / max(len(b.ids) - 1, 1) ** alpha
         assert bs >= gs - 1e-9
+
+
+def test_beam_search_projects_memory_once_and_each_position_once():
+    """Per utterance, each decoder layer projects the encoder memory once
+    (cross_attn.wk and wv), and its self-attention projects one new position
+    of every live prefix per step: the bos prefix, then the 5 the beam keeps."""
+    cfg = ModelConfig(vocab_size=12, d_model=16, ff_hidden=32, n_heads=2,
+                      n_encoder_layers=1, n_decoder_layers=2)
+    m = SpeechTransformer(cfg, seed=9).eval()
+    m.decoder.out_proj.bias.data[EOS_ID] = -100.0  # the search runs all max_len steps
+    shapes = {}
+    for i, layer in enumerate(m.decoder.layers):
+        for attn in ("self_attn", "cross_attn"):
+            block = getattr(layer, attn)
+            for proj in ("wk", "wv"):
+                seen = shapes[i, attn, proj] = []
+
+                def spy(x, linear=getattr(block, proj), seen=seen):
+                    seen.append(x.shape)
+                    return linear(x)
+                setattr(block, proj, spy)
+    rng = np.random.default_rng(10)
+    for t in (12, 17):
+        for seen in shapes.values():
+            seen.clear()
+        hyp = beam_decode(m, VOCAB, rng.normal(size=(t, 40)), beam=5, max_len=7)
+        assert hyp.truncated and len(hyp.ids) == 8
+        for (_, attn, _), seen in shapes.items():
+            if attn == "cross_attn":
+                assert seen == [(1, encoder_length(t), 16)]
+            else:
+                assert seen == [(1, 1, 16)] + [(5, 1, 16)] * 6
 
 
 def test_decoding_deterministic_across_worker_counts(monkeypatch):

@@ -16,14 +16,14 @@ def _write(tmp_path, rows):
 def test_read_manifest_basic(tmp_path):
     (tmp_path / "a.wav").touch()
     path = _write(tmp_path, [["a.wav", "hello", "hallo", "de", "train"]])
-    entries = read_manifest(path, languages=["de"])
+    entries = read_manifest(path)
     assert entries == [ManifestEntry("a.wav", "hello", "hallo", "de", "train")]
 
 
 def test_asr_row_accepted(tmp_path):
     (tmp_path / "a.wav").touch()
     path = _write(tmp_path, [["a.wav", "hello", "hello", "en", "train"]])
-    entries = read_manifest(path, languages=["de", "en"])
+    entries = read_manifest(path)
     assert entries[0].lang == "en"
     assert entries[0].target_text == entries[0].transcript
 
@@ -33,20 +33,13 @@ def test_empty_target_rejected_with_line_number(tmp_path):
     path = _write(tmp_path, [["a.wav", "x", "y", "de", "train"],
                              ["a.wav", "x", "", "de", "train"]])
     with pytest.raises(M.ManifestError, match=":2:"):
-        read_manifest(path, languages=["de"])
-
-
-def test_unknown_language_rejected(tmp_path):
-    (tmp_path / "a.wav").touch()
-    path = _write(tmp_path, [["a.wav", "x", "y", "zz", "train"]])
-    with pytest.raises(M.ManifestError, match="zz"):
-        read_manifest(path, languages=["de"])
+        read_manifest(path)
 
 
 def test_missing_file_rejected(tmp_path):
     path = _write(tmp_path, [["nope.wav", "x", "y", "de", "train"]])
     with pytest.raises(M.ManifestError, match="missing file"):
-        read_manifest(path, languages=["de"])
+        read_manifest(path)
 
 
 def test_malformed_row_rejected(tmp_path):
@@ -99,7 +92,7 @@ def test_vocab_round_trip_lossless():
 
 def test_vocab_unseen_maps_to_unk():
     v = Vocabulary("ab")
-    assert v.encode("axb", add_bos_eos=False) == [v.char_to_id["a"], M.UNK_ID, v.char_to_id["b"]]
+    assert v.encode("axb") == [v.char_to_id["a"], M.UNK_ID, v.char_to_id["b"]]
 
 
 def test_build_vocab_deterministic_and_train_only():

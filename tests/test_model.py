@@ -449,6 +449,12 @@ def test_config_sizes_checked_before_arithmetic(sizes, name):
         ModelConfig(**{"vocab_size": 10, "d_model": 8, **sizes})
 
 
+@pytest.mark.parametrize("dropout", [1.0, 1.5, -0.1, float("nan"), "0.1"])
+def test_config_dropout_outside_unit_interval_rejected(dropout):
+    with pytest.raises(ValueError, match="dropout must be a number in"):
+        ModelConfig(vocab_size=10, d_model=8, dropout=dropout)
+
+
 def test_lang_required_when_forcing_enabled():
     m = make_model(forcing_mode="merge", forcing_site="pre", languages=("L0",))
     with pytest.raises(ValueError, match="languages"):

@@ -50,12 +50,12 @@ def test_manifest_loads_and_vocab_covers_targets(tmp_path):
     langs = default_languages(3)
     path, entries = synth_dataset(str(tmp_path), seed=1, n_utt_per_lang=30,
                                   languages=langs)
-    loaded = read_manifest(path, languages=[l.lang_id for l in langs])
+    loaded = read_manifest(path)
     assert len(loaded) == 90
     vocab = build_vocab(loaded, [l.lang_id for l in langs])
     for e in loaded:
         if e.split == "train":
-            ids = vocab.encode(e.target_text, add_bos_eos=False)
+            ids = vocab.encode(e.target_text)
             assert vocab.decode(ids) == e.target_text
 
 

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -165,7 +163,7 @@ def test_norms_equal_np_var_formulation(seed, shape):
     rng = np.random.default_rng(seed)
     x = rng.normal(3.0, 2.0, shape)
     gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
-    out = T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), eps=1e-5).data
+    out = T.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data
     mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
     np.testing.assert_array_equal(out, (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * gamma + beta)
 
@@ -671,28 +669,6 @@ def test_no_grad_restored_after_exception():
             assert not T.add(p, p).requires_grad
             raise RuntimeError("boom")
     assert T.add(p, p).requires_grad
-
-
-def test_no_grad_is_per_thread():
-    inside, done = threading.Event(), threading.Event()
-    grads = []
-
-    def other_thread():
-        inside.wait(timeout=30)
-        q = Tensor(np.array([0.5, 4.0]), requires_grad=True)
-        T.tsum(T.mul(q, q)).backward()
-        grads.append(q.grad)
-        done.set()
-
-    worker = threading.Thread(target=other_thread, daemon=True)
-    worker.start()
-    with T.no_grad():
-        inside.set()
-        assert done.wait(timeout=30)
-        assert not T.scale(Tensor(np.ones(2), requires_grad=True), 2.0).requires_grad
-    worker.join(timeout=30)
-    assert not worker.is_alive()
-    np.testing.assert_array_equal(grads[0], [1.0, 8.0])
 
 
 def test_forward_outputs_finite_on_finite_input():

@@ -488,7 +488,7 @@ def test_transfer_copies_encoder_only(tmp_path):
     path = str(tmp_path / "asr.ckpt")
     save_checkpoint(path, src, Vocabulary("abcde"))
     dst = _ckpt_model()
-    for p in dst.parameters():
+    for _, p in dst.named_parameters():
         p.data = p.data + 1.0  # make everything differ
     dec_before = {n: p.data.copy() for n, p in dst.named_parameters()
                   if n.startswith("decoder.")}
