@@ -11,7 +11,6 @@ import os
 import struct
 import wave
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,20 +26,6 @@ class AudioFormatError(ValueError):
     """Input file is not 16-bit mono PCM at 16 kHz."""
 
 
-@dataclass
-class FeatureSequence:
-    """T×F matrix of MEL frames for one utterance."""
-
-    utt_id: str
-    frames: np.ndarray
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2 or 0 in self.frames.shape:
-            raise ValueError(f"frames must be a T×F matrix with T, F >= 1, "
-                             f"got {self.frames.shape}")
-
-
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
@@ -50,10 +35,8 @@ def mel_to_hz(m):
 
 
 def mel_filterbank():
-    """Triangular filters on the MEL scale, spanning 0 to SAMPLE_RATE / 2.
-
-    Returns (filters of shape N_MELS×(N_FFT//2+1), center frequencies in Hz).
-    """
+    """N_MELS×(N_FFT//2+1) triangular filters on the MEL scale, spanning 0
+    to SAMPLE_RATE / 2."""
     n_bins = N_FFT // 2 + 1
     fft_freqs = np.arange(n_bins) * SAMPLE_RATE / N_FFT
     mel_pts = np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2), N_MELS + 2)
@@ -64,17 +47,17 @@ def mel_filterbank():
         up = (fft_freqs - lo) / (mid - lo)
         down = (hi - fft_freqs) / (hi - mid)
         filters[i] = np.maximum(0.0, np.minimum(up, down))
-    return filters, hz_pts[1:-1]
+    return filters
 
 
-_FILTERS, FILTER_CENTERS_HZ = mel_filterbank()
+_FILTERS = mel_filterbank()
 
 
 def frame_count(n_samples: int) -> int:
     return (n_samples - WIN_LENGTH) // HOP_LENGTH + 1
 
 
-def mel_spectrogram(samples: np.ndarray, utt_id: str = "") -> FeatureSequence:
+def mel_spectrogram(samples: np.ndarray) -> np.ndarray:
     """Log-MEL energies, T = floor((N-400)/160)+1 frames of 40 coefficients."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1 or len(samples) < WIN_LENGTH:
@@ -85,19 +68,18 @@ def mel_spectrogram(samples: np.ndarray, utt_id: str = "") -> FeatureSequence:
     frames = samples[idx] * window
     spectrum = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1)) ** 2
     energies = spectrum @ _FILTERS.T
-    return FeatureSequence(utt_id, np.log(np.maximum(energies, LOG_FLOOR)))
+    return np.log(np.maximum(energies, LOG_FLOOR))
 
 
-def normalize(fs: FeatureSequence) -> FeatureSequence:
+def normalize(x: np.ndarray) -> np.ndarray:
     """Zero mean, unit std over the whole matrix; std floored to guard silence.
 
     The steps of ``np.mean`` and ``np.std``, written out so that the centred
     matrix is computed once; the result is bit-identical to theirs.
     """
-    x = fs.frames
     centred = x - x.sum() / x.size
     sd = max(np.sqrt((centred * centred).sum() / x.size), 1e-8)
-    return FeatureSequence(fs.utt_id, centred / sd)
+    return centred / sd
 
 
 def read_wav(path: str) -> np.ndarray:
@@ -130,20 +112,20 @@ def read_wav(path: str) -> np.ndarray:
 # Flat binary records: u32 T, u32 F (little-endian), then T*F float32.
 # The sidecar index (<archive>.idx) maps utterance id -> byte offset.
 
-def write_feature_archive(path: str, sequences: Iterable[FeatureSequence]) -> int:
-    """Write each record and its index line as it arrives; returns the count.
+def write_feature_archive(path: str, records: Iterable[tuple[str, np.ndarray]]) -> int:
+    """Write each (utterance id, T×F frames) record and its index line as it
+    arrives; returns the count.
 
-    Memory stays that of one utterance when ``sequences`` is a generator. If
+    Memory stays that of one utterance when ``records`` is a generator. If
     the iteration raises, both files are removed and the error propagates.
     """
     n = 0
     try:
         with open(path, "wb") as f, open(path + ".idx", "w", encoding="utf-8") as idx:
-            for fs in sequences:
-                idx.write(f"{fs.utt_id}\t{f.tell()}\n")
-                t, fdim = fs.frames.shape
-                f.write(struct.pack("<II", t, fdim))
-                f.write(fs.frames.astype("<f4").tobytes())
+            for utt_id, frames in records:
+                idx.write(f"{utt_id}\t{f.tell()}\n")
+                f.write(struct.pack("<II", *frames.shape))
+                f.write(frames.astype("<f4").tobytes())
                 n += 1
     except BaseException:
         for leftover in (path, path + ".idx"):
@@ -218,12 +200,12 @@ class FeatureArchive:
                 fdim = n
         return fdim
 
-    def load(self, utt_id: str) -> FeatureSequence:
+    def load(self, utt_id: str) -> np.ndarray:
+        """The record's T×F frames, as float64."""
         with open(self.path, "rb") as f:
             t, fdim = self._header(f, utt_id)
             payload = f.read(4 * t * fdim)
         if len(payload) < 4 * t * fdim:
             raise ValueError(f"feature archive {self.path}: the record of utterance {utt_id!r} "
                              f"is truncated (the file shrank below {self.size} bytes)")
-        frames = np.frombuffer(payload, dtype="<f4").reshape(t, fdim)
-        return FeatureSequence(utt_id, frames.astype(np.float64))
+        return np.frombuffer(payload, dtype="<f4").reshape(t, fdim).astype(np.float64)

@@ -114,11 +114,9 @@ def cmd_extract(args) -> int:
 
     def utterances():
         for e in entries:
-            path = os.path.join(base, e.audio_path)
-            fs = mel_spectrogram(read_wav(path), e.utt_id)
             new_entries.append(ManifestEntry(f"data.feats#{e.utt_id}", e.transcript,
                                              e.target_text, e.lang, e.split))
-            yield fs
+            yield e.utt_id, mel_spectrogram(read_wav(os.path.join(base, e.audio_path)))
 
     n = write_feature_archive(os.path.join(args.out_dir, "data.feats"), utterances())
     write_manifest(os.path.join(args.out_dir, "manifest.tsv"), new_entries)

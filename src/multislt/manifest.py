@@ -92,9 +92,6 @@ class Vocabulary:
     def decode(self, ids) -> str:
         return "".join(self.id_to_char[i] for i in ids if i in self.id_to_char)
 
-    def __eq__(self, other):
-        return isinstance(other, Vocabulary) and self.chars == other.chars
-
 
 def build_vocab(entries: list[ManifestEntry], languages: list[str]) -> Vocabulary:
     """Every character in the training split's target texts, plus reserved ids."""

@@ -50,6 +50,9 @@ class ModelConfig:
 
     def __post_init__(self):
         self.languages = tuple(self.languages)
+        if not all(isinstance(lang, str) for lang in self.languages) \
+                or len(set(self.languages)) != len(self.languages):
+            raise ValueError(f"languages must be distinct strings, got {list(self.languages)!r}")
         for name in ("vocab_size", "d_model", "ff_hidden", "n_encoder_layers",
                      "n_decoder_layers", "n_heads", "n_mels", "frontend_channels",
                      "sa2d_channels", "sa2d_out_channels"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import FeatureSequence, write_feature_archive
+from .audio import write_feature_archive
 from .manifest import ManifestEntry, write_manifest
 
 N_FEAT = 40
@@ -107,7 +107,7 @@ def synth_dataset(out_dir: str, seed: int, n_utt_per_lang: int,
                 split = "train" if i < n_train else ("dev" if i < n_train + n_dev else "test")
                 entries.append(ManifestEntry(f"data.feats#{utt_id}", transcript,
                                              target, lang.lang_id, split))
-                yield FeatureSequence(utt_id, frames)
+                yield utt_id, frames
 
     write_feature_archive(os.path.join(out_dir, "data.feats"), utterances())
     manifest_path = os.path.join(out_dir, "manifest.tsv")

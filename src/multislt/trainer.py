@@ -116,7 +116,7 @@ def make_batch(examples: list[Example]) -> Batch:
 
 
 def _archive_features(archive: audio.FeatureArchive, utt_id: str) -> np.ndarray:
-    return audio.normalize(archive.load(utt_id)).frames
+    return audio.normalize(archive.load(utt_id))
 
 
 def load_examples(entries: list[ManifestEntry], vocab: Vocabulary,
@@ -147,9 +147,9 @@ def load_examples(entries: list[ManifestEntry], vocab: Vocabulary,
             out.append(Example(utt_id, functools.partial(_archive_features, archive, utt_id),
                                target_ids, e.lang))
         else:
-            path = os.path.join(base_dir, e.audio_path)
-            fs = audio.normalize(audio.mel_spectrogram(audio.read_wav(path), e.utt_id))
-            out.append(Example(fs.utt_id, fs.frames, target_ids, e.lang))
+            samples = audio.read_wav(os.path.join(base_dir, e.audio_path))
+            out.append(Example(e.utt_id, audio.normalize(audio.mel_spectrogram(samples)),
+                               target_ids, e.lang))
     fdim = None  # one feature dimension for every archive record of the split
     for archive, utt_ids in archives.values():
         fdim = archive.check(utt_ids, fdim)
@@ -335,18 +335,26 @@ def read_checkpoint(path: str) -> tuple[dict, dict[tuple[str, str], np.ndarray]]
         raise CheckpointError(f"{path}: header tensors is not a list")
     payload = data[start + hlen:]
     tensors = {}
+    end = 0  # the records tile the payload: each starts where the one before ends
     for i, rec in enumerate(header["tensors"]):
         if not (isinstance(rec, dict) and isinstance(rec.get("name"), str)
                 and rec.get("kind") in TENSOR_KINDS and isinstance(rec.get("shape"), list)
                 and all(type(n) is int and n >= 0 for n in [*rec["shape"], rec.get("offset")])):
             raise CheckpointError(f"{path}: malformed tensor record {i}: {rec!r}")
+        key = (rec["name"], rec["kind"])
+        if key in tensors:
+            raise CheckpointError(f"{path}: tensor record {i} repeats {key}")
+        if rec["offset"] != end:
+            raise CheckpointError(f"{path}: tensor record {i} starts at payload byte "
+                                  f"{rec['offset']}, not at {end}, where the one before ends")
         size = math.prod(rec["shape"])
-        end = rec["offset"] + 8 * size
+        end += 8 * size
         if end > len(payload):
             raise CheckpointError(f"{path}: truncated payload at tensor {rec['name']!r}")
-        arr = np.frombuffer(payload, dtype="<f8", count=size,
-                            offset=rec["offset"]).reshape(rec["shape"]).copy()
-        tensors[(rec["name"], rec["kind"])] = arr
+        tensors[key] = np.frombuffer(payload, dtype="<f8", count=size,
+                                     offset=rec["offset"]).reshape(rec["shape"]).copy()
+    if end != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - end} bytes follow the last tensor record")
     if version == 1:
         tensors = _rename_v1(path, header["config"], tensors)
     return header, tensors
@@ -374,9 +382,10 @@ def load_checkpoint(path: str):
     header, tensors = read_checkpoint(path)
     a = header["adam"]
     if a is not None and not (isinstance(a, dict) and type(a.get("step")) is int and all(
-            type(a.get(k)) in (int, float) for k in ("beta1", "beta2", "eps"))):
-        raise CheckpointError(f"{path}: bad header: adam must be null or an object with "
-                              f"numeric beta1, beta2 and eps and an int step, got {a!r}")
+            type(a.get(k)) in (int, float) for k in ("beta1", "beta2", "eps"))
+            and 0 <= a["beta1"] < 1 and 0 <= a["beta2"] < 1 and a["eps"] > 0 and a["step"] >= 0):
+        raise CheckpointError(f"{path}: bad header: adam must be null or an object with beta1 "
+                              f"and beta2 in [0, 1), eps > 0 and an int step >= 0, got {a!r}")
     try:
         cfg = ModelConfig(**header["config"])
         vocab = Vocabulary(header["vocab"])

@@ -24,17 +24,28 @@ def write_wav(path: str, samples: np.ndarray):
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "v1_merge_post")
 
 
-def rewrite_header(src: str, dst: str, edit):
-    """Copy checkpoint ``src`` to ``dst`` with ``edit(header)`` applied to its
-    JSON header; the magic, version and tensor payloads are kept."""
+def rewrite_checkpoint(src: str, dst: str, edit):
+    """Copy checkpoint ``src`` to ``dst``; ``edit(header, payload)`` changes
+    the JSON header in place and returns the new tensor payload bytes. The
+    magic and version are kept."""
     with open(src, "rb") as f:
         blob = f.read()
     (hlen,) = struct.unpack_from("<Q", blob, 12)
     header = json.loads(blob[20:20 + hlen])
-    edit(header)
+    payload = edit(header, blob[20 + hlen:])
     new = json.dumps(header).encode("utf-8")
     with open(dst, "wb") as f:
-        f.write(blob[:12] + struct.pack("<Q", len(new)) + new + blob[20 + hlen:])
+        f.write(blob[:12] + struct.pack("<Q", len(new)) + new + payload)
+
+
+def rewrite_header(src: str, dst: str, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit(header)`` applied to its
+    JSON header; the magic, version and tensor payloads are kept."""
+    def edit_header(header, payload):
+        edit(header)
+        return payload
+
+    rewrite_checkpoint(src, dst, edit_header)
 
 
 def record_opens(monkeypatch, module) -> list:

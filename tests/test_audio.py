@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multislt import audio
-from multislt.audio import FeatureSequence, mel_spectrogram, normalize
+from multislt.audio import mel_spectrogram, normalize
 
 from helpers import record_opens, write_wav
 
 
 def test_one_second_gives_98_frames():
-    fs = mel_spectrogram(np.zeros(16000))
-    assert fs.frames.shape == (98, 40)
+    assert mel_spectrogram(np.zeros(16000)).shape == (98, 40)
 
 
 def test_single_window_boundary():
-    fs = mel_spectrogram(np.zeros(400))
-    assert fs.frames.shape == (1, 40)
+    assert mel_spectrogram(np.zeros(400)).shape == (1, 40)
 
 
 def test_too_short_rejected():
@@ -30,15 +28,17 @@ def test_too_short_rejected():
 @given(st.integers(400, 48000))
 @settings(max_examples=60, deadline=None)
 def test_frame_count_formula(n):
-    fs = mel_spectrogram(np.zeros(n))
-    assert fs.frames.shape[0] == (n - 400) // 160 + 1
+    assert mel_spectrogram(np.zeros(n)).shape[0] == (n - 400) // 160 + 1
 
 
 def test_sine_hits_nearest_filter():
     t = np.arange(16000) / audio.SAMPLE_RATE
-    fs = mel_spectrogram(0.5 * np.sin(2 * np.pi * 1000.0 * t))
-    expected_bin = int(np.argmin(np.abs(audio.FILTER_CENTERS_HZ - 1000.0)))
-    hits = np.argmax(fs.frames, axis=1)
+    frames = mel_spectrogram(0.5 * np.sin(2 * np.pi * 1000.0 * t))
+    edges = np.linspace(audio.hz_to_mel(0.0), audio.hz_to_mel(audio.SAMPLE_RATE / 2),
+                        audio.N_MELS + 2)
+    centers_hz = audio.mel_to_hz(edges)[1:-1]
+    expected_bin = int(np.argmin(np.abs(centers_hz - 1000.0)))
+    hits = np.argmax(frames, axis=1)
     assert np.all(hits == expected_bin)
 
 
@@ -47,26 +47,24 @@ def test_extraction_deterministic():
     samples = rng.normal(scale=0.1, size=8000)
     a = mel_spectrogram(samples)
     b = mel_spectrogram(samples)
-    assert np.array_equal(a.frames, b.frames)
+    assert np.array_equal(a, b)
 
 
 def test_normalize_statistics():
     rng = np.random.default_rng(1)
-    fs = normalize(FeatureSequence("u", rng.normal(3.0, 7.0, (50, 40))))
-    assert abs(fs.frames.mean()) < 1e-9
-    assert abs(fs.frames.std() - 1.0) < 1e-9
+    x = normalize(rng.normal(3.0, 7.0, (50, 40)))
+    assert abs(x.mean()) < 1e-9
+    assert abs(x.std() - 1.0) < 1e-9
 
 
 def test_normalize_constant_matrix():
-    fs = normalize(FeatureSequence("u", np.full((10, 40), 2.5)))
-    np.testing.assert_array_equal(fs.frames, 0.0)
+    np.testing.assert_array_equal(normalize(np.full((10, 40), 2.5)), 0.0)
 
 
 def test_normalize_idempotent():
     rng = np.random.default_rng(2)
-    once = normalize(FeatureSequence("u", rng.normal(size=(20, 40))))
-    twice = normalize(once)
-    np.testing.assert_allclose(twice.frames, once.frames, atol=1e-12)
+    once = normalize(rng.normal(size=(20, 40)))
+    np.testing.assert_allclose(normalize(once), once, atol=1e-12)
 
 
 def test_wav_round_trip_and_format_errors(tmp_path):
@@ -90,14 +88,14 @@ def test_wav_round_trip_and_format_errors(tmp_path):
 
 def test_feature_archive_round_trip(tmp_path):
     rng = np.random.default_rng(4)
-    seqs = [FeatureSequence(f"utt{i}", rng.normal(size=(5 + i, 40)).astype(np.float32))
-            for i in range(4)]
+    records = [(f"utt{i}", rng.normal(size=(5 + i, 40)).astype(np.float32)) for i in range(4)]
     path = str(tmp_path / "x.feats")
-    audio.write_feature_archive(path, seqs)
+    audio.write_feature_archive(path, records)
     arc = audio.FeatureArchive(path)
-    for fs in seqs:
-        back = arc.load(fs.utt_id)
-        np.testing.assert_array_equal(back.frames, np.asarray(fs.frames, dtype=np.float64))
+    for utt_id, frames in records:
+        back = arc.load(utt_id)
+        assert back.dtype == np.float64
+        np.testing.assert_array_equal(back, frames)
 
 
 def test_feature_archive_missing_sidecar(tmp_path):
@@ -119,12 +117,12 @@ def test_normalize_equals_numpy_mean_std(t, f, loc, scale, seed, kind):
     if x.size < 2:
         return
     want = (x - x.mean()) / max(x.std(), 1e-8)
-    assert np.array_equal(normalize(FeatureSequence("u", x)).frames, want)
+    assert np.array_equal(normalize(x), want)
 
 
 def _sequences(n=4):
     rng = np.random.default_rng(4)
-    return [FeatureSequence(f"utt{i}", rng.normal(size=(5 + i, 40))) for i in range(n)]
+    return [(f"utt{i}", rng.normal(size=(5 + i, 40))) for i in range(n)]
 
 
 def _record_offset(i: int) -> int:
@@ -137,7 +135,7 @@ def test_write_feature_archive_generator_equals_list(tmp_path):
     seqs = _sequences()
     a, b = str(tmp_path / "a.feats"), str(tmp_path / "b.feats")
     assert audio.write_feature_archive(a, seqs) == 4
-    assert audio.write_feature_archive(b, (fs for fs in seqs)) == 4
+    assert audio.write_feature_archive(b, (r for r in seqs)) == 4
     for suffix in ("", ".idx"):
         assert Path(a + suffix).read_bytes() == Path(b + suffix).read_bytes()
 
@@ -160,9 +158,9 @@ def test_feature_archive_load_leaves_no_open_handle(tmp_path, monkeypatch):
     audio.write_feature_archive(path, seqs)
     arc = audio.FeatureArchive(path)
     opened = record_opens(monkeypatch, audio)
-    first = arc.load("utt2").frames
+    first = arc.load("utt2")
     arc.check(["utt0", "utt3"])
-    np.testing.assert_array_equal(arc.load("utt2").frames, first)
+    np.testing.assert_array_equal(arc.load("utt2"), first)
     assert len(opened) == 3 and all(f.closed for f in opened)
 
 
@@ -215,11 +213,11 @@ def test_split_with_mixed_feature_dimensions_rejected(tmp_path):
 
     rng = np.random.default_rng(9)
     a, b = str(tmp_path / "a.feats"), str(tmp_path / "b.feats")
-    audio.write_feature_archive(a, [FeatureSequence("u0", rng.normal(size=(6, 40))),
-                                    FeatureSequence("u1", rng.normal(size=(6, 39))),
-                                    FeatureSequence("u2", rng.normal(size=(6, 38)))])
-    audio.write_feature_archive(b, [FeatureSequence("v0", rng.normal(size=(6, 40))),
-                                    FeatureSequence("v1", rng.normal(size=(6, 41)))])
+    audio.write_feature_archive(a, [("u0", rng.normal(size=(6, 40))),
+                                    ("u1", rng.normal(size=(6, 39))),
+                                    ("u2", rng.normal(size=(6, 38)))])
+    audio.write_feature_archive(b, [("v0", rng.normal(size=(6, 40))),
+                                    ("v1", rng.normal(size=(6, 41)))])
     vocab = Vocabulary("ab")
 
     def rows(*ids):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -273,6 +274,9 @@ def _exits_1_with_message(capsys, argv, out, *names):
     assert not os.path.exists(out)
 
 
+ADAM = {"beta1": 0.9, "beta2": 0.98, "eps": 1e-9, "step": 0}
+
+
 @pytest.mark.parametrize("edit", [lambda h: h["config"].update(bogus=1),
                                   lambda h: h["config"].pop("vocab_size"),
                                   lambda h: h.pop("vocab"),
@@ -283,6 +287,7 @@ def _exits_1_with_message(capsys, argv, out, *names):
                                   lambda h: h["tensors"][0].update(offset=8.0),
                                   lambda h: h["tensors"][0].update(shape="x"),
                                   lambda h: h["tensors"][0].update(shape=[2, -1]),
+                                  lambda h: h["tensors"][1].update(offset=0),
                                   lambda h: h["tensors"][0].pop("name"),
                                   lambda h: h["tensors"].append({**h["tensors"][0],
                                                                  "kind": "weights"}),
@@ -294,13 +299,24 @@ def _exits_1_with_message(capsys, argv, out, *names):
                                   lambda h: h["config"].update(d_model="8"),
                                   lambda h: h["config"].update(d_model=10**12),
                                   lambda h: h["config"].update(n_encoder_layers=10**12),
-                                  lambda h: h["config"].update(dropout=1.5)],
+                                  lambda h: h["config"].update(dropout=1.5),
+                                  lambda h: h["config"].update(languages=[["L0"], "L1"]),
+                                  lambda h: h["config"].update(languages=[1, 2]),
+                                  lambda h: h["config"].update(languages=["L0", "L0"]),
+                                  lambda h: h.update(adam={**ADAM, "beta1": 1.5}),
+                                  lambda h: h.update(adam={**ADAM, "beta2": -0.2}),
+                                  lambda h: h.update(adam={**ADAM, "eps": -1}),
+                                  lambda h: h.update(adam={**ADAM, "eps": 0}),
+                                  lambda h: h.update(adam={**ADAM, "step": -3})],
                          ids=["unknown-config-key", "no-vocab-size", "no-vocab",
                               "tensors-not-a-list", "record-not-an-object", "no-offset",
                               "negative-offset", "float-offset", "shape-not-a-list",
-                              "negative-dim", "no-name", "unknown-kind", "adam-empty",
-                              "adam-list", "adam-string-beta1", "zero-heads", "string-size",
-                              "huge-d-model", "huge-layer-count", "dropout-1.5"])
+                              "negative-dim", "overlapping-offset", "no-name", "unknown-kind",
+                              "adam-empty", "adam-list", "adam-string-beta1", "zero-heads",
+                              "string-size", "huge-d-model", "huge-layer-count", "dropout-1.5",
+                              "list-language", "int-languages", "repeated-language",
+                              "beta1-1.5", "beta2-negative", "eps-negative", "eps-0",
+                              "step-negative"])
 def test_translate_malformed_checkpoint_header_exits_1(dataset, tmp_path, capsys, edit):
     cfg = ModelConfig(vocab_size=9, d_model=8, ff_hidden=8, n_heads=2,
                       n_encoder_layers=1, n_decoder_layers=1)
@@ -349,12 +365,12 @@ def test_train_bad_feature_archive_exits_1(dataset, tmp_path, capsys, case):
 
 
 def test_train_mixed_feature_dimensions_exits_1(tmp_path, capsys):
-    from multislt.audio import FeatureSequence, write_feature_archive
+    from multislt.audio import write_feature_archive
 
     arc = str(tmp_path / "data.feats")
     rng = np.random.default_rng(3)
-    write_feature_archive(arc, [FeatureSequence("u0", rng.normal(size=(6, 40))),
-                                FeatureSequence("u1", rng.normal(size=(6, 39)))])
+    write_feature_archive(arc, [("u0", rng.normal(size=(6, 40))),
+                                ("u1", rng.normal(size=(6, 39)))])
     manifest = str(tmp_path / "manifest.tsv")
     write_manifest(manifest, [ManifestEntry(f"data.feats#{u}", "abc", "abc", "L0", "train")
                               for u in ("u0", "u1")])
@@ -425,6 +441,15 @@ def test_asr_pretrain_then_transfer_and_mix(dataset, tmp_path):
     assert "en" in header["languages"]
 
 
+# sha256 of what ``extract`` writes for the three WAVs below; any change to
+# the bytes is a change of the features.
+EXTRACT_PINNED = {
+    "data.feats": "2cf8e7e9eecf4a4619481258d2d7d70959a2928f93c4c904c46602ad072c2627",
+    "data.feats.idx": "75030969c08b5aee803644284f70b167163d2277ef62d84c4fe40db155a28801",
+    "manifest.tsv": "a72e2240298354ea0c53d38647f51e510420023dbefba66e1bcbfa8100c837d3",
+}
+
+
 def test_extract_from_wavs(tmp_path):
     rng = np.random.default_rng(0)
     rows = []
@@ -439,6 +464,9 @@ def test_extract_from_wavs(tmp_path):
     entries = read_manifest(os.path.join(out, "manifest.tsv"))
     assert len(entries) == 3
     assert entries[0].audio_path == "data.feats#u0"
+    for name, digest in EXTRACT_PINNED.items():
+        with open(os.path.join(out, name), "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == digest, name
 
 
 def test_extract_bad_wav_leaves_no_archive(tmp_path, capsys):

@@ -132,7 +132,7 @@ def test_decode_split_memory_does_not_grow_with_split(tmp_path):
     a list of every utterance's features holds (1.8 MB measured)."""
     import tracemalloc
 
-    from multislt.audio import FeatureSequence, write_feature_archive
+    from multislt.audio import write_feature_archive
     from multislt.manifest import ManifestEntry
 
     m = _model()
@@ -141,8 +141,8 @@ def test_decode_split_memory_does_not_grow_with_split(tmp_path):
     for n in (10, 100):
         root = tmp_path / str(n)
         root.mkdir()
-        frames = (FeatureSequence(f"u{i}", rng.normal(size=(60, 40))) for i in range(n))
-        write_feature_archive(str(root / "x.feats"), frames)
+        records = ((f"u{i}", rng.normal(size=(60, 40))) for i in range(n))
+        write_feature_archive(str(root / "x.feats"), records)
         entries = [ManifestEntry(f"x.feats#u{i}", "ab", "ab", "L0", "test") for i in range(n)]
         tracemalloc.start()
         try:

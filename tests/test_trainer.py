@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 import struct
 from pathlib import Path
@@ -15,7 +16,7 @@ from multislt.trainer import (Batch, BatchComposer, CheckpointError, Example,
                               lr_at, make_batch, mix_asr, save_checkpoint, train_step,
                               transfer_encoder)
 
-from helpers import V1_FIXTURE, record_opens, rewrite_header
+from helpers import V1_FIXTURE, record_opens, rewrite_checkpoint, rewrite_header
 
 
 # learning-rate schedule ------------------------------------------------
@@ -189,7 +190,7 @@ def test_train_step_requires_training_mode():
 def test_train_step_aborts_on_nonfinite_loss():
     m = _tiny_model()
     m.decoder.out_proj.bias.data[:] = np.inf
-    with pytest.raises(FloatingPointError):
+    with pytest.warns(RuntimeWarning), pytest.raises(FloatingPointError):
         train_step(m, [make_batch(_examples({"de": 2})[:2])], AdamState(), LRSchedule())
 
 
@@ -300,6 +301,23 @@ def test_checkpoint_bad_adam_header_rejected(tmp_path, adam):
         load_checkpoint(bad)
 
 
+def _duplicate_last(header, payload):
+    last = header["tensors"][-1]
+    header["tensors"].append({**last, "offset": len(payload)})
+    return payload + payload[last["offset"]:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda header, payload: payload + bytes(64), "64 bytes follow the last tensor record"),
+    (_duplicate_last, "repeats")], ids=["trailing-bytes", "duplicate"])
+def test_checkpoint_records_must_tile_the_payload(tmp_path, edit, message):
+    path, bad = str(tmp_path / "a.ckpt"), str(tmp_path / "bad.ckpt")
+    save_checkpoint(path, _ckpt_model(), Vocabulary("abcde"), AdamState(step=3))
+    rewrite_checkpoint(path, bad, edit)
+    with pytest.raises(CheckpointError, match=f"{re.escape(bad)}: .*{message}"):
+        load_checkpoint(bad)
+
+
 @pytest.mark.parametrize("field", ["d_model", "ff_hidden", "n_encoder_layers",
                                    "n_decoder_layers", "n_mels", "frontend_channels",
                                    "sa2d_channels", "sa2d_out_channels"])
@@ -327,8 +345,7 @@ def test_load_examples_closes_archive_on_malformed_record(tmp_path, monkeypatch)
     opened = record_opens(monkeypatch, audio)
     rng = np.random.default_rng(0)
     arc = str(tmp_path / "data.feats")
-    audio.write_feature_archive(arc, [audio.FeatureSequence(u, rng.normal(size=(6, 40)))
-                                      for u in ("u0", "u1")])
+    audio.write_feature_archive(arc, [(u, rng.normal(size=(6, 40))) for u in ("u0", "u1")])
     with open(arc, "r+b") as f:
         f.truncate(f.seek(0, 2) - 4)  # u1's payload is cut short
     entries = [ManifestEntry(f"data.feats#{u}", "ab", "ab", "L0", "train") for u in ("u0", "u1")]
@@ -358,7 +375,7 @@ def test_batches_equal_eager_archive_oracle(tmp_path):
     _, entries, vocab = _synth(tmp_path, 20)
     examples = load_examples(entries, vocab, base_dir=str(tmp_path), split="train")
     arc = FeatureArchive(str(tmp_path / "data.feats"))
-    eager = [Example(e.utt_id, normalize(arc.load(e.utt_id)).frames, e.target_ids, e.lang)
+    eager = [Example(e.utt_id, normalize(arc.load(e.utt_id)), e.target_ids, e.lang)
              for e in examples]
     lazy_batches, eager_batches = BatchComposer(examples, seed=3), BatchComposer(eager, seed=3)
     for _ in range(6):
@@ -474,10 +491,23 @@ def test_version_1_without_sa2d_penalty_rejected(tmp_path):
 
 
 def test_version_1_missing_qkv_block_rejected(tmp_path):
+    """sa2d1's k block goes with its payload bytes and the later records move
+    down, so the records still tile the payload and the q, k, v join fails."""
+    def drop_k(header, payload):
+        kept = [r for r in header["tensors"] if r["name"] != "encoder.sa2d1.k.conv.weight"]
+        parts, offset = [], 0
+        for r in kept:
+            n = 8 * math.prod(r["shape"])
+            parts.append(payload[r["offset"]:r["offset"] + n])
+            r["offset"] = offset
+            offset += n
+        header["tensors"] = kept
+        return b"".join(parts)
+
     bad = str(tmp_path / "nok.ckpt")
-    rewrite_header(V1_FIXTURE + ".ckpt", bad, lambda h: h.update(tensors=[
-        r for r in h["tensors"] if r["name"] != "encoder.sa2d1.k.conv.weight"]))
-    with pytest.raises(CheckpointError, match="sa2d1"):
+    rewrite_checkpoint(V1_FIXTURE + ".ckpt", bad, drop_k)
+    with pytest.raises(CheckpointError,
+                       match=r"sa2d1\.qkv\.weight \(\w+\) lacks a q, k or v block"):
         load_checkpoint(bad)
 
 
