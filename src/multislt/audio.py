@@ -150,6 +150,7 @@ class FeatureArchive:
         self.path = path
         self.size = os.path.getsize(path)
         self.index: dict[str, int] = {}
+        lines: dict[str, int] = {}  # utterance id -> its index line
         with open(path + ".idx", encoding="utf-8") as f:
             try:
                 for n, line in enumerate(f, 1):
@@ -160,6 +161,10 @@ class FeatureArchive:
                     if int(off) > self.size:
                         raise ValueError(f"{path}.idx line {n}: offset {off} is past the end "
                                          f"of {path} ({self.size} bytes)")
+                    if utt_id in lines:
+                        raise ValueError(f"{path}.idx line {n}: utterance {utt_id!r} "
+                                         f"repeats line {lines[utt_id]}")
+                    lines[utt_id] = n
                     self.index[utt_id] = int(off)
             except UnicodeDecodeError as e:
                 raise ValueError(f"{path}.idx: not UTF-8 text ({e})") from None

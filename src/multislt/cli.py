@@ -107,19 +107,22 @@ def resolve_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_extract(args) -> int:
+    """One record per audio file: the rows of a multi-target manifest share it."""
     entries = read_manifest(args.manifest, check_files=True)
     base = os.path.dirname(os.path.abspath(args.manifest))
+    audio = {}  # utterance id -> the audio file it names
+    for e in entries:
+        path = os.path.normpath(os.path.join(base, e.audio_path))
+        if audio.setdefault(e.utt_id, path) != path:
+            raise UsageError(f"{args.manifest}: {audio[e.utt_id]} and {path} both give "
+                             f"utterance id {e.utt_id!r}")
     os.makedirs(args.out_dir, exist_ok=True)
-    new_entries = []
-
-    def utterances():
-        for e in entries:
-            new_entries.append(ManifestEntry(f"data.feats#{e.utt_id}", e.transcript,
-                                             e.target_text, e.lang, e.split))
-            yield e.utt_id, mel_spectrogram(read_wav(os.path.join(base, e.audio_path)))
-
-    n = write_feature_archive(os.path.join(args.out_dir, "data.feats"), utterances())
-    write_manifest(os.path.join(args.out_dir, "manifest.tsv"), new_entries)
+    n = write_feature_archive(os.path.join(args.out_dir, "data.feats"),
+                              ((utt_id, mel_spectrogram(read_wav(path)))
+                               for utt_id, path in audio.items()))
+    write_manifest(os.path.join(args.out_dir, "manifest.tsv"),
+                   [ManifestEntry(f"data.feats#{e.utt_id}", e.transcript, e.target_text,
+                                  e.lang, e.split) for e in entries])
     print(f"extracted {n} utterances -> {args.out_dir}")
     return 0
 
@@ -183,14 +186,15 @@ def _report(report: dict, out: str | None) -> int:
 
 def cmd_evaluate(args) -> int:
     hyps = _read_hyps(args.hyp)
-    entries = {e.utt_id: e for e in read_manifest(args.manifest, check_files=False)
-               if e.split == args.split}
+    # one utterance has a row per target language
+    refs = {(e.utt_id, e.lang): e.target_text
+            for e in read_manifest(args.manifest, check_files=False) if e.split == args.split}
     by_lang: dict[str, tuple[list[str], list[str]]] = {}
     for utt_id, lang, _, _, text in hyps:
-        if utt_id not in entries:
-            raise UsageError(f"hypothesis {utt_id!r} is not in split {args.split!r} "
-                             f"of {args.manifest}")
-        ref = entries[utt_id].target_text
+        if (utt_id, lang) not in refs:
+            raise UsageError(f"hypothesis {utt_id!r} in language {lang!r} is not in split "
+                             f"{args.split!r} of {args.manifest}")
+        ref = refs[utt_id, lang]
         by_lang.setdefault(lang, ([], []))[0].append(text)
         by_lang[lang][1].append(" ".join(ref) if args.char_level else ref)
     return _report({"bleu": {lang: bleu([" ".join(h) for h in hs] if args.char_level else hs, rs)

@@ -362,6 +362,9 @@ class SpeechTransformer(Module):
         reach the input).
         """
         x = features if isinstance(features, Tensor) else Tensor(features)
+        if x.shape[-1] != self.cfg.n_mels:
+            raise T.ShapeError(f"the features have {x.shape[-1]} values per frame, "
+                               f"but the model takes n_mels {self.cfg.n_mels}")
         B = x.shape[0]
         lengths = np.asarray(lengths, dtype=np.int64)
         langs = self._langs(langs, B)

@@ -45,10 +45,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -119,10 +115,6 @@ class Tensor:
         return getitem(self, idx)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 _grad_enabled = True  # False inside ``no_grad``
 
 
@@ -176,8 +168,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 # elementwise -----------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
@@ -187,8 +178,7 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     data = a.data - b.data
 
     def backward(g):
@@ -198,8 +188,7 @@ def sub(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
@@ -255,7 +244,6 @@ def _matmul(a: np.ndarray, b: np.ndarray, op: str = "matmul") -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     data = _matmul(a.data, b.data)
 
     def backward(g):
@@ -300,7 +288,6 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
 
     def backward(g):
@@ -312,35 +299,33 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def getitem(a: Tensor, idx) -> Tensor:
+    # slices only: none selects an element twice, so backward need not sum repeats
+    if not all(isinstance(i, slice) for i in (idx if isinstance(idx, tuple) else (idx,))):
+        raise IndexError(f"getitem takes slices only, got {idx!r}")
     data = a.data[idx]
-    # slices select each element at most once; index arrays may repeat one
-    sliced = all(isinstance(i, slice) for i in (idx if isinstance(idx, tuple) else (idx,)))
 
     def backward(g):
         full = np.zeros_like(a.data)
-        if sliced:
-            full[idx] = g
-        else:
-            np.add.at(full, idx, g)
+        full[idx] = g
         a._accumulate(full)
 
     return _make(data, (a,), backward)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    data = a.data.sum(axis=axis)
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.shape).copy())
 
     return _make(data, (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+def tmean(a: Tensor, axis=None) -> Tensor:
+    n = a.data.size if axis is None else a.shape[axis]
+    return scale(tsum(a, axis=axis), 1.0 / n)
 
 
 # nonlinear blocks with analytic backward --------------------------------

@@ -377,6 +377,21 @@ def _check_sizes(path: str, cfg: ModelConfig, tensors: dict):
                                   f"but its tensor record {found}")
 
 
+def _check_moments(path: str, adam: bool, model: SpeechTransformer, tensors: dict):
+    """The adam_m and the adam_v records each name exactly the model's
+    parameters with their shapes, or none (an optimizer that never stepped);
+    with adam null, there are none."""
+    params = {name: p.shape for name, p in model.named_parameters()}
+    for kind in ("adam_m", "adam_v"):
+        found = {name: arr.shape for (name, k), arr in tensors.items() if k == kind}
+        if found and not adam:
+            raise CheckpointError(f"{path}: {kind} records, but adam is null")
+        if found and found != params:
+            wrong = min(n for n in found.keys() | params.keys() if found.get(n) != params.get(n))
+            raise CheckpointError(f"{path}: the {kind} records do not match the model's "
+                                  f"parameters in name and shape, first at {wrong!r}")
+
+
 def load_checkpoint(path: str):
     """Rebuild (model, vocab, adam state) from a checkpoint file."""
     header, tensors = read_checkpoint(path)
@@ -402,6 +417,7 @@ def load_checkpoint(path: str):
         model.load_state_dict(state_dict)
     except (KeyError, ValueError) as e:
         raise CheckpointError(f"{path}: {e}") from e
+    _check_moments(path, a is not None, model, tensors)
     state = None
     if a is not None:
         state = AdamState(beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"], step=a["step"])

@@ -243,6 +243,15 @@ def test_feature_archive_offset_past_end_rejected_at_parse(tmp_path, offset):
         audio.FeatureArchive(path)
 
 
+def test_feature_archive_repeated_id_rejected_at_parse(tmp_path):
+    path = str(tmp_path / "x.feats")
+    audio.write_feature_archive(path, _sequences())
+    with open(path + ".idx", "w") as f:
+        f.write(f"utt0\t0\nutt1\t{_record_offset(1)}\nutt0\t{_record_offset(2)}\n")
+    with pytest.raises(ValueError, match=f"{re.escape(path)}.idx line 3: .*'utt0' repeats line 1"):
+        audio.FeatureArchive(path)
+
+
 def _flip(blob: bytes, flips) -> bytes:
     out = bytearray(blob)
     for pos, value in flips:

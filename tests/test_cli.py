@@ -487,6 +487,88 @@ def test_extract_bad_wav_leaves_no_archive(tmp_path, capsys):
     assert sorted(os.listdir(out)) == []
 
 
+def test_extract_id_collision_exits_1_before_writing(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    for folder, n in (("a", 4000), ("b", 8000)):
+        (tmp_path / folder).mkdir()
+        write_wav(str(tmp_path / folder / "x.wav"), rng.normal(0, 0.1, n))
+    src = tmp_path / "manifest.tsv"
+    src.write_text("a/x.wav\tabc\tABC\tL0\ttrain\nb/x.wav\tabc\tABC\tL0\ttrain\n")
+    out = tmp_path / "feat"
+    _exits_1_with_message(capsys, ["extract", "--manifest", str(src), "--out-dir", str(out)],
+                          str(out / "manifest.tsv"), str(tmp_path / "a" / "x.wav"),
+                          str(tmp_path / "b" / "x.wav"), "'x'")
+    assert not out.exists()
+
+
+def test_extract_shares_one_record_across_target_languages(tmp_path):
+    from multislt.audio import mel_spectrogram, read_wav
+    from multislt.trainer import load_examples
+
+    rng = np.random.default_rng(0)
+    frames = {}
+    for utt, n in (("u", 4000), ("v", 8000)):
+        write_wav(str(tmp_path / f"{utt}.wav"), rng.normal(0, 0.1, n))
+        frames[utt] = mel_spectrogram(read_wav(str(tmp_path / f"{utt}.wav"))).shape[0]
+    src = tmp_path / "manifest.tsv"
+    src.write_text("".join(f"{utt}.wav\tabc\t{lang}\t{lang}\ttrain\n"
+                           for utt in frames for lang in ("L0", "L1")))
+    out = tmp_path / "feat"
+    assert main(["extract", "--manifest", str(src), "--out-dir", str(out)]) == 0
+    index = (out / "data.feats.idx").read_text().splitlines()
+    assert [line.split("\t")[0] for line in index] == ["u", "v"]
+    entries = read_manifest(str(out / "manifest.tsv"))
+    assert [(e.utt_id, e.lang) for e in entries] == [("u", "L0"), ("u", "L1"),
+                                                     ("v", "L0"), ("v", "L1")]
+    examples = load_examples(entries, Vocabulary("L01"), str(out))
+    assert [len(ex.features) for ex in examples] == [frames["u"]] * 2 + [frames["v"]] * 2
+    assert frames["u"] < frames["v"]
+
+
+def test_evaluate_matches_references_by_id_and_language(tmp_path, capsys):
+    # one utterance, one row per target language, as the paper's one-to-many setting has
+    refs = {(f"u{i}", lang): f"{lang.lower()}{i}{lang.lower() * 3}" for i in range(6)
+            for lang in ("L0", "L1")}
+    manifest = str(tmp_path / "manifest.tsv")
+    write_manifest(manifest, [ManifestEntry(f"data.feats#{utt}", "abc", text, lang,
+                                            "test" if utt in ("u0", "u1") else "train")
+                              for (utt, lang), text in refs.items()])
+    hyp = tmp_path / "hyp.tsv"
+    hyp.write_text("".join(f"{utt}\t{lang}\t{lang}\t-1.0\t{text}\n"
+                           for (utt, lang), text in refs.items() if utt in ("u0", "u1")))
+    out = str(tmp_path / "report.json")
+    assert main(["evaluate", "--hyp", str(hyp), "--manifest", manifest, "--char-level",
+                 "--out", out]) == 0
+    assert json.loads(Path(out).read_text())["bleu"] == {"L0": 100.0, "L1": 100.0}
+    hyp.write_text("u0\tL2\tL2\t-1.0\tl0lll\n")
+    _exits_1_with_message(capsys, ["evaluate", "--hyp", str(hyp), "--manifest", manifest,
+                                   "--out", str(tmp_path / "bad.json")],
+                          str(tmp_path / "bad.json"), "'u0'", "'L2'")
+
+
+@pytest.mark.parametrize("command", ["train", "translate"])
+def test_features_of_another_width_than_n_mels_exit_1(tmp_path, capsys, command):
+    from multislt.audio import write_feature_archive
+
+    rng = np.random.default_rng(3)
+    write_feature_archive(str(tmp_path / "data.feats"),
+                          [(f"u{i}", rng.normal(size=(16, 39))) for i in range(2)])
+    manifest = str(tmp_path / "manifest.tsv")
+    split = "train" if command == "train" else "test"
+    write_manifest(manifest, [ManifestEntry(f"data.feats#u{i}", "abc", "abc", "L0", split)
+                              for i in range(2)])
+    out = str(tmp_path / "out")
+    if command == "train":
+        argv = ["train", "--manifest", manifest, "--steps", "1", "--save", out]
+    else:
+        ckpt = str(tmp_path / "model.ckpt")
+        cfg = ModelConfig(vocab_size=9, d_model=8, ff_hidden=8, n_heads=2,
+                          n_encoder_layers=1, n_decoder_layers=1)
+        save_checkpoint(ckpt, SpeechTransformer(cfg), Vocabulary("abcde"))
+        argv = ["translate", "--checkpoint", ckpt, "--manifest", manifest, "--out", out]
+    _exits_1_with_message(capsys, argv, out, "39 values per frame", "n_mels 40")
+
+
 @pytest.mark.parametrize("command", ["extract", "train"])
 @pytest.mark.parametrize("case", ["not-riff", "riff-only", "too-short"])
 def test_malformed_wav_exits_1(tmp_path, capsys, command, case):

@@ -583,6 +583,21 @@ def test_first_gradient_is_a_private_copy():
     np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
 
 
+@pytest.mark.parametrize("idx", [np.array([0, 0]), 1, (slice(None), 0), [0, 1]],
+                         ids=["index-array", "int", "int-in-tuple", "list"])
+def test_getitem_takes_slices_only(idx):
+    with pytest.raises(IndexError, match="slices only"):
+        T.getitem(Tensor(np.ones((3, 2))), idx)
+
+
+def test_getitem_slice_gradient_is_written_in_place():
+    x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    out = x[1:3, ::2]
+    np.testing.assert_array_equal(out.data, [[3.0, 5.0], [6.0, 8.0]])
+    T.tsum(T.mul(out, Tensor(np.array([[1.0, 2.0], [3.0, 4.0]])))).backward()
+    np.testing.assert_array_equal(x.grad, [[0, 0, 0], [1, 0, 2], [3, 0, 4], [0, 0, 0]])
+
+
 def test_backward_releases_the_graph():
     rng = np.random.default_rng(18)
     w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)

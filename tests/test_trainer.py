@@ -318,6 +318,35 @@ def test_checkpoint_records_must_tile_the_payload(tmp_path, edit, message):
         load_checkpoint(bad)
 
 
+def _moment_record(header, name, kind):
+    return next(r for r in header["tensors"] if (r["name"], r["kind"]) == (name, kind))
+
+
+def _drop_last(header, payload):
+    return payload[:header["tensors"].pop()["offset"]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h, p: _moment_record(h, "decoder.out_proj.bias", "adam_m").update(name="nope") or p,
+     "adam_m records do not match .* 'decoder.out_proj.bias'"),
+    (_drop_last, "adam_v records do not match"),
+    (lambda h, p: _moment_record(h, "decoder.out_proj.bias", "adam_v").update(shape=[3, 3])
+     or p, "adam_v records do not match .* 'decoder.out_proj.bias'"),
+    (lambda h, p: h.update(adam=None) or p, "adam_m records, but adam is null")],
+    ids=["unknown-name", "missing-record", "wrong-shape", "adam-null"])
+def test_checkpoint_adam_moments_must_match_parameters(tmp_path, edit, message):
+    m = _ckpt_model()
+    state = AdamState(step=1)
+    state.m = {n: np.zeros(p.shape) for n, p in m.named_parameters()}
+    state.v = {n: np.ones(p.shape) for n, p in m.named_parameters()}
+    path, bad = str(tmp_path / "a.ckpt"), str(tmp_path / "bad.ckpt")
+    save_checkpoint(path, m, Vocabulary("abcde"), state)
+    assert load_checkpoint(path)[2].v.keys() == state.v.keys()
+    rewrite_checkpoint(path, bad, edit)
+    with pytest.raises(CheckpointError, match=f"{re.escape(bad)}: .*{message}"):
+        load_checkpoint(bad)
+
+
 @pytest.mark.parametrize("field", ["d_model", "ff_hidden", "n_encoder_layers",
                                    "n_decoder_layers", "n_mels", "frontend_channels",
                                    "sa2d_channels", "sa2d_out_channels"])
