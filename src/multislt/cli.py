@@ -190,13 +190,23 @@ def cmd_evaluate(args) -> int:
     refs = {(e.utt_id, e.lang): e.target_text
             for e in read_manifest(args.manifest, check_files=False) if e.split == args.split}
     by_lang: dict[str, tuple[list[str], list[str]]] = {}
-    for utt_id, lang, _, _, text in hyps:
+    lines: dict[tuple[str, str], int] = {}  # each row's line in the TSV
+    for lineno, (utt_id, lang, _, _, text) in enumerate(hyps, 1):
         if (utt_id, lang) not in refs:
             raise UsageError(f"hypothesis {utt_id!r} in language {lang!r} is not in split "
                              f"{args.split!r} of {args.manifest}")
+        if (utt_id, lang) in lines:
+            raise UsageError(f"{args.hyp}:{lineno}: hypothesis {utt_id!r} in language {lang!r} "
+                             f"repeats {args.hyp}:{lines[utt_id, lang]}")
+        lines[utt_id, lang] = lineno
         ref = refs[utt_id, lang]
         by_lang.setdefault(lang, ([], []))[0].append(text)
         by_lang[lang][1].append(" ".join(ref) if args.char_level else ref)
+    missing = [key for key in refs if key not in lines]
+    if missing:
+        raise UsageError(f"{len(missing)} of the {len(refs)} rows of split {args.split!r} of "
+                         f"{args.manifest} have no hypothesis in {args.hyp}, the first "
+                         f"{missing[0][0]!r} in language {missing[0][1]!r}")
     return _report({"bleu": {lang: bleu([" ".join(h) for h in hs] if args.char_level else hs, rs)
                              for lang, (hs, rs) in sorted(by_lang.items())}}, args.out)
 
@@ -222,6 +232,7 @@ def cmd_gradcheck(args) -> int:
         "conv_block": (lambda x: T.conv_block(x, *conv, True, np.zeros(2), np.ones(2),
                                               stride=(2, 2)), (2, 1, 6, 5)),
         "layer_norm": (lambda x: T.layer_norm(x, gamma, beta), (3, 6)),
+        "add_layer_norm": (lambda x: T.add_layer_norm(x, T.tanh(x), gamma, beta), (3, 6)),
         "embedding": (lambda t: T.embedding(t, [[1, 3, 3], [0, 6, 2]]), (7, 4)),
         "cross_entropy": (lambda x: T.cross_entropy(x, np.array([1, 3, 0, 2]), 0), (4, 5))}
     worst = {}

@@ -226,8 +226,8 @@ class EncoderLayer(Module):
         self.drop2 = Dropout(cfg.dropout)
 
     def __call__(self, x: Tensor, bias: np.ndarray) -> Tensor:
-        x = self.ln1(T.add(x, self.drop1(self.attn(x, x, bias))))
-        return self.ln2(T.add(x, self.drop2(self.ff(x))))
+        x = self.ln1(x, self.drop1(self.attn(x, x, bias)))
+        return self.ln2(x, self.drop2(self.ff(x)))
 
 
 class DecoderLayer(Module):
@@ -246,9 +246,9 @@ class DecoderLayer(Module):
     def __call__(self, x: Tensor, memory: Tensor, causal_bias: np.ndarray,
                  cross_bias: np.ndarray, cache: tuple[KVCache, KVCache] | None = None) -> Tensor:
         self_kv, cross_kv = (None, None) if cache is None else cache
-        x = self.ln1(T.add(x, self.drop1(self.self_attn(x, x, causal_bias, cache=self_kv))))
-        x = self.ln2(T.add(x, self.drop2(self.cross_attn(x, memory, cross_bias, cache=cross_kv))))
-        return self.ln3(T.add(x, self.drop3(self.ff(x))))
+        x = self.ln1(x, self.drop1(self.self_attn(x, x, causal_bias, cache=self_kv)))
+        x = self.ln2(x, self.drop2(self.cross_attn(x, memory, cross_bias, cache=cross_kv)))
+        return self.ln3(x, self.drop3(self.ff(x)))
 
 
 class SA2D(Module):

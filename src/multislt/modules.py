@@ -140,13 +140,15 @@ class ConvBlock(Module):
 
 
 class LayerNorm(Module):
+    """The post-norm residual: layer norm of ``x + y``, as one ``T.add_layer_norm``."""
+
     def __init__(self, d: int):
         super().__init__()
         self.gamma = _param(np.ones(d))
         self.beta = _param(np.zeros(d))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta)
+    def __call__(self, x: Tensor, y: Tensor) -> Tensor:
+        return T.add_layer_norm(x, y, self.gamma, self.beta)
 
 
 class Dropout(Module):

@@ -54,17 +54,21 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray):
+    def _accumulate(self, g: np.ndarray, fresh: bool = False):
         # Constants (inputs, masks, attention biases) keep no gradient.
         if not self.requires_grad:
             return
-        # The first gradient is copied, never stored: backward closures pass
-        # arrays on (add's ``g``) that other nodes also hold. The copy takes
-        # ``data``'s memory layout, as zeros_like did, so later reductions
-        # sum in the same order.
+        # A ``fresh`` first gradient, which the calling closure made for this
+        # node alone, is kept if it has ``data``'s memory layout. Others are
+        # copied, since closures pass on arrays that other nodes also hold
+        # (add's ``g``, reshape's views). A copy takes ``data``'s layout, so
+        # later reductions sum in the same order either way.
         if self.grad is None:
-            self.grad = np.empty_like(self.data)
-            np.copyto(self.grad, g)
+            if fresh and g.shape == self.data.shape and g.strides == self.data.strides:
+                self.grad = g
+            else:
+                self.grad = np.empty_like(self.data)
+                np.copyto(self.grad, g)
         else:
             self.grad += g
 
@@ -183,7 +187,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(-_unbroadcast(g, b.shape))
+        b._accumulate(-_unbroadcast(g, b.shape), fresh=True)
 
     return _make(data, (a, b), backward)
 
@@ -192,8 +196,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
+        a._accumulate(_unbroadcast(g * b.data, a.shape), fresh=True)
+        b._accumulate(_unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _make(data, (a, b), backward)
 
@@ -202,7 +206,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     data = a.data * c
 
     def backward(g):
-        a._accumulate(g * c)
+        a._accumulate(g * c, fresh=True)
 
     return _make(data, (a,), backward)
 
@@ -211,7 +215,7 @@ def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def backward(g):
-        a._accumulate(g * (a.data > 0.0))
+        a._accumulate(g * (a.data > 0.0), fresh=True)
 
     return _make(data, (a,), backward)
 
@@ -220,7 +224,7 @@ def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
 
     def backward(g):
-        a._accumulate(g * data)
+        a._accumulate(g * data, fresh=True)
 
     return _make(data, (a,), backward)
 
@@ -229,7 +233,7 @@ def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
 
     def backward(g):
-        a._accumulate(g * (1.0 - data * data))
+        a._accumulate(g * (1.0 - data * data), fresh=True)
 
     return _make(data, (a,), backward)
 
@@ -249,8 +253,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accumulate(_unbroadcast(ga, a.shape))
-        b._accumulate(_unbroadcast(gb, b.shape))
+        a._accumulate(_unbroadcast(ga, a.shape), fresh=True)
+        b._accumulate(_unbroadcast(gb, b.shape), fresh=True)
 
     return _make(data, (a, b), backward)
 
@@ -307,7 +311,7 @@ def getitem(a: Tensor, idx) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[idx] = g
-        a._accumulate(full)
+        a._accumulate(full, fresh=True)
 
     return _make(data, (a,), backward)
 
@@ -318,7 +322,7 @@ def tsum(a: Tensor, axis=None) -> Tensor:
     def backward(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape).copy())
+        a._accumulate(np.broadcast_to(g, a.shape).copy(), fresh=True)
 
     return _make(data, (a,), backward)
 
@@ -351,28 +355,25 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     data = _softmax(a.data, axis)
 
     def backward(g):
-        a._accumulate(_softmax_grad(data, g, axis))
+        a._accumulate(_softmax_grad(data, g, axis), fresh=True)
 
     return _make(data, (a,), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """``x @ weight + bias`` as one node.
-
-    Forward and backward do ``matmul`` then ``add``'s arithmetic in the same
-    order, so the results equal that composition bit for bit.
-    """
-    data = _matmul(x.data, weight.data, "linear")
+    """``x @ weight + bias`` as one node. The leading axes are flattened once,
+    so forward is one 2-D GEMM, backward two (``g @ weightᵀ``, ``xᵀ @ g``)."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+    data = _matmul(x2, weight.data, "linear")
     data += bias.data
 
     def backward(g):
-        gx = np.matmul(g, np.swapaxes(weight.data, -1, -2))
-        gw = np.matmul(np.swapaxes(x.data, -1, -2), g)
-        x._accumulate(_unbroadcast(gx, x.shape))
-        weight._accumulate(_unbroadcast(gw, weight.shape))
-        bias._accumulate(_unbroadcast(g, bias.shape))
+        g2 = g.reshape(data.shape)
+        x._accumulate((g2 @ weight.data.T).reshape(x.shape), fresh=True)
+        weight._accumulate(x2.T @ g2, fresh=True)
+        bias._accumulate(g2.sum(axis=0), fresh=True)
 
-    return _make(data, (x, weight, bias), backward)
+    return _make(data.reshape(x.shape[:-1] + data.shape[1:]), (x, weight, bias), backward)
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
@@ -424,19 +425,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
         gk = np.swapaxes(_unbroadcast(np.matmul(np.swapaxes(qd, -1, -2), gs), kt.shape), -1, -2)
         if heads is not None:
             gq, gk, gv = _merge_heads(gq), _merge_heads(gk), _merge_heads(gv)
-        v._accumulate(gv)
-        q._accumulate(gq)
-        k._accumulate(gk)
+        v._accumulate(gv, fresh=True)
+        q._accumulate(gq, fresh=True)
+        k._accumulate(gk, fresh=True)
 
     return _make(data, (q, k, v), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize over the last axis; gamma/beta broadcast over it."""
+def _layer_norm(h: np.ndarray, gamma: Tensor, beta: Tensor):
+    """Normalize ``h`` over its last axis. Returns the output and ``backward(g)``,
+    which accumulates gamma's and beta's gradients and returns h's."""
     # np.mean is a sum and a true divide; np.var's steps reuse the centred input.
     # np.add.reduce is the ufunc reduce that ndarray.sum calls through a wrapper.
-    n = x.shape[-1]
-    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    n = h.shape[-1]
+    xc = h - np.add.reduce(h, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + EPS)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
@@ -445,12 +447,36 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         gxhat = g * gamma.data
         m1 = gxhat.sum(axis=-1, keepdims=True) / n
         m2 = (gxhat * xhat).sum(axis=-1, keepdims=True) / n
-        x._accumulate((gxhat - m1 - xhat * m2) * inv)
         red = tuple(range(g.ndim - 1))
-        gamma._accumulate(_unbroadcast((g * xhat).sum(axis=red), gamma.shape))
-        beta._accumulate(_unbroadcast(g.sum(axis=red), beta.shape))
+        gamma._accumulate(_unbroadcast((g * xhat).sum(axis=red), gamma.shape), fresh=True)
+        beta._accumulate(_unbroadcast(g.sum(axis=red), beta.shape), fresh=True)
+        return (gxhat - m1 - xhat * m2) * inv
+
+    return data, backward
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over the last axis; gamma/beta broadcast over it."""
+    data, ln_backward = _layer_norm(x.data, gamma, beta)
+
+    def backward(g):
+        x._accumulate(ln_backward(g), fresh=True)
 
     return _make(data, (x, gamma, beta), backward)
+
+
+def add_layer_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """``layer_norm(add(x, y), gamma, beta)`` as one node: the post-norm
+    residual. The two ops' arithmetic runs in the same order, forward and
+    backward, so the results equal that composition bit for bit."""
+    data, ln_backward = _layer_norm(x.data + y.data, gamma, beta)
+
+    def backward(g):
+        gs = ln_backward(g)
+        x._accumulate(gs)  # copied, so y may keep the array
+        y._accumulate(gs, fresh=True)
+
+    return _make(data, (x, y, gamma, beta), backward)
 
 
 def _batch_norm(h: np.ndarray, gamma: Tensor, beta: Tensor, training: bool,
@@ -459,7 +485,8 @@ def _batch_norm(h: np.ndarray, gamma: Tensor, beta: Tensor, training: bool,
 
     ``h`` is centred and normalised in place, so it ends as x̂. Returns the
     output and ``backward(g)``, which accumulates gamma's and beta's
-    gradients and returns the gradient with respect to ``h``.
+    gradients and returns the gradient with respect to ``h``, as
+    g·a − x̂·b − c with per-channel a, b and c. Sums of products are einsums.
     """
     axes = (0, 2, 3)
     cshape = (1, -1, 1, 1)
@@ -467,11 +494,11 @@ def _batch_norm(h: np.ndarray, gamma: Tensor, beta: Tensor, training: bool,
         if h.shape[0] < 2:
             raise ValueError("batch_norm training mode needs batch size >= 2 "
                              "(variance undefined)")
-        # np.mean is a sum and a true divide; np.var's steps reuse the centred input
+        # np.mean is a sum and a true divide; the variance reuses the centred input
         n = h.shape[0] * h.shape[2] * h.shape[3]
         mu = h.sum(axis=axes) / n
         h -= mu.reshape(cshape)
-        var = (h * h).sum(axis=axes) / n
+        var = np.einsum("bchw,bchw->c", h, h) / n
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mu
         running_var *= 1.0 - BN_MOMENTUM
@@ -479,20 +506,23 @@ def _batch_norm(h: np.ndarray, gamma: Tensor, beta: Tensor, training: bool,
     else:
         h -= running_mean.reshape(cshape)
         var = running_var
-    inv = 1.0 / np.sqrt(var + EPS).reshape(cshape)
-    h *= inv
+    inv = 1.0 / np.sqrt(var + EPS)
+    h *= inv.reshape(cshape)
     xhat = h
-    data = xhat * gamma.data.reshape(cshape) + beta.data.reshape(cshape)
+    data = xhat * gamma.data.reshape(cshape)
+    data += beta.data.reshape(cshape)
 
     def backward(g):
-        gxhat = g * gamma.data.reshape(cshape)
-        gamma._accumulate((g * xhat).sum(axis=axes))
-        beta._accumulate(g.sum(axis=axes))
-        if not training:
-            return gxhat * inv
-        m1 = gxhat.sum(axis=axes, keepdims=True) / n
-        m2 = (gxhat * xhat).sum(axis=axes, keepdims=True) / n
-        return (gxhat - m1 - xhat * m2) * inv
+        sum_gx = np.einsum("bchw,bchw->c", g, xhat)
+        sum_g = g.sum(axis=axes)
+        gamma._accumulate(sum_gx, fresh=True)
+        beta._accumulate(sum_g, fresh=True)
+        a = gamma.data * inv  # Σ(g·γ) = γ·Σg and Σ(g·γ·x̂) = γ·Σ(g·x̂)
+        dx = g * a.reshape(cshape)
+        if training:
+            dx -= xhat * (a * sum_gx / n).reshape(cshape)
+            dx -= (a * sum_g / n).reshape(cshape)
+        return dx
 
     return data, backward
 
@@ -510,7 +540,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, training: bool,
                                     running_mean, running_var)
 
     def backward(g):
-        x._accumulate(bn_backward(g))
+        x._accumulate(bn_backward(g), fresh=True)
 
     return _make(data, (x, gamma, beta), backward)
 
@@ -525,13 +555,28 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator | None
     data = x.data * mask
 
     def backward(g):
-        x._accumulate(g * mask)
+        x._accumulate(g * mask, fresh=True)
 
     return _make(data, (x,), backward)
 
 
+def _phase_slices(n: int, s: int):
+    """For each phase p of an axis of ``n`` positions, padded by one and
+    strided by ``s``: its input positions (every s-th from f = (p − 1) mod s)
+    and the phase positions they fill (from (f + 1) // s)."""
+    return [(slice(f, None, s), slice((f + 1) // s, (f + 1) // s + len(range(f, n, s))))
+            for f in ((p - 1) % s for p in range(s))]
+
+
 def _conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride):
     """3×3 convolution with padding 1, by im2col and one GEMM.
+
+    The zero-padded input is split into its sh·sw phases (padded rows ≡ pi
+    mod sh by columns ≡ pj mod sw: space-to-depth), each channel-major,
+    C × (B·Hq·Wq) plus a tail margin. Output (b, i, j) has the flat index
+    (b·Hq + i)·Wq + j, and tap (di, dj) reads phase (di mod sh, dj mod sw)
+    from offset (di // sh)·Wq + dj // sw, so each tap is one contiguous
+    slice for every stride. The GEMM's extra rows and columns are dropped.
 
     Returns the output, a new array the caller may overwrite, and
     ``backward(g)``, which accumulates the gradients of ``x`` (by col2im),
@@ -550,37 +595,46 @@ def _conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride):
     Wo = (W + 2 - 3) // sw + 1
     if Ho < 1 or Wo < 1:
         raise ShapeError(f"conv2d: non-positive output extent for input {x.shape}")
-    xp = np.zeros((B, C, H + 2, W + 2))
-    xp[:, :, 1:-1, 1:-1] = x.data
-    taps = [(slice(di, di + sh * (Ho - 1) + 1, sh), slice(dj, dj + sw * (Wo - 1) + 1, sw))
+    Hq, Wq = Ho + 2 // sh, Wo + 2 // sw
+    N = B * Hq * Wq
+    taps = [(di % sh * sw + dj % sw, di // sh * Wq + dj // sw)
             for di in range(3) for dj in range(3)]
+    split = [(r, c) for r in _phase_slices(H, sh) for c in _phase_slices(W, sw)]
+    phases = np.zeros((sh * sw, C, N + 2 // sh * Wq + 2 // sw))
+    grid = phases[:, :, :N].reshape(sh * sw, C, B, Hq, Wq)
+    for k, ((xr, qr), (xc, qc)) in enumerate(split):
+        grid[k, :, :, qr, qc] = x.data[:, :, xr, xc].transpose(1, 0, 2, 3)
     w2 = weight.data.reshape(O, C * 9)
 
     def patches():
-        """im2col: B×(C·9)×(Ho·Wo), rows in the kernel's (c, di, dj) order."""
-        cols = np.empty((B, C, 9, Ho, Wo))
-        for k, (si, sj) in enumerate(taps):
-            cols[:, :, k] = xp[:, :, si, sj]
-        return cols.reshape(B, C * 9, Ho * Wo)
+        """im2col: (C·9)×N, rows in the kernel's (c, di, dj) order."""
+        cols = np.empty((C, 9, N))
+        for k, (p, off) in enumerate(taps):
+            cols[:, k] = phases[p, :, off:off + N]
+        return cols.reshape(C * 9, N)
 
-    data = np.matmul(w2, patches()).reshape(B, O, Ho, Wo)
-    data += bias.data.reshape(1, O, 1, 1)
+    out = (w2 @ patches()).reshape(O, B, Hq, Wq)[:, :, :Ho, :Wo]
+    data = np.empty((B, O, Ho, Wo))
+    np.add(out.transpose(1, 0, 2, 3), bias.data.reshape(1, O, 1, 1), out=data)
 
     def backward(g):
-        g2 = g.reshape(B, O, Ho * Wo)
+        g2 = np.zeros((O, N))
+        g2.reshape(O, B, Hq, Wq)[:, :, :Ho, :Wo] = g.transpose(1, 0, 2, 3)
         # The patches are rebuilt rather than kept by the closure, which would
-        # hold 9× each conv's input until backward. The weight gradient is a
-        # GEMM per utterance on their transposed view, summed over the batch;
-        # tensordot over (batch, positions) would copy them first.
-        gw = np.matmul(g2, patches().transpose(0, 2, 1)).sum(axis=0)
+        # hold 9× each conv's input until backward.
+        gw = g2 @ patches().T
         if x.requires_grad:  # not for the input features of an unforced model
-            gcols = np.matmul(w2.T, g2).reshape(B, C, 9, Ho, Wo)
-            gxp = np.zeros_like(xp)
-            for k, (si, sj) in enumerate(taps):  # col2im
-                gxp[:, :, si, sj] += gcols[:, :, k]
-            x._accumulate(gxp[:, :, 1:1 + H, 1:1 + W])
-        weight._accumulate(gw.reshape(weight.shape))
-        bias._accumulate(g.sum(axis=(0, 2, 3)))
+            gcols = (w2.T @ g2).reshape(C, 9, N)
+            gphases = np.zeros_like(phases)
+            for k, (p, off) in enumerate(taps):  # col2im
+                gphases[p, :, off:off + N] += gcols[:, k]
+            ggrid = gphases[:, :, :N].reshape(sh * sw, C, B, Hq, Wq)
+            gx = np.empty((B, C, H, W))
+            for k, ((xr, qr), (xc, qc)) in enumerate(split):  # de-phase
+                gx[:, :, xr, xc] = ggrid[k, :, :, qr, qc].transpose(1, 0, 2, 3)
+            x._accumulate(gx, fresh=True)
+        weight._accumulate(gw.reshape(weight.shape), fresh=True)
+        bias._accumulate(g.sum(axis=(0, 2, 3)), fresh=True)
 
     return data, backward
 
@@ -630,7 +684,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     def backward(g):
         full = np.zeros_like(table.data)
         np.add.at(full, ids, g)
-        table._accumulate(full)
+        table._accumulate(full, fresh=True)
 
     return _make(data, (table,), backward)
 
@@ -659,7 +713,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, pad_id: int) -> Tensor:
         p = np.exp(logp)
         p[np.arange(len(targets)), safe] -= 1.0
         p *= (valid / n * float(g))[:, None]
-        logits._accumulate(p)
+        logits._accumulate(p, fresh=True)
 
     return _make(data, (logits,), backward)
 

@@ -129,9 +129,11 @@ def load_examples(entries: list[ManifestEntry], vocab: Vocabulary,
     oversized or empty record, or one whose feature dimension differs from
     the split's other records, fails now, naming the archive and utterance.
     Plain paths are WAV files, run through the MEL pipeline here and kept in
-    memory; ``multislt extract`` turns a large WAV corpus into an archive.
+    memory, once per file; ``multislt extract`` turns a large WAV corpus into
+    an archive.
     """
     archives: dict[str, tuple[audio.FeatureArchive, list[str]]] = {}
+    wavs: dict[str, np.ndarray] = {}
     out = []
     for e in entries:
         if split is not None and e.split != split:
@@ -146,10 +148,11 @@ def load_examples(entries: list[ManifestEntry], vocab: Vocabulary,
             utt_ids.append(utt_id)
             out.append(Example(utt_id, functools.partial(_archive_features, archive, utt_id),
                                target_ids, e.lang))
-        else:
-            samples = audio.read_wav(os.path.join(base_dir, e.audio_path))
-            out.append(Example(e.utt_id, audio.normalize(audio.mel_spectrogram(samples)),
-                               target_ids, e.lang))
+        else:  # the rows of a multi-target manifest share one file's features
+            path = os.path.normpath(os.path.join(base_dir, e.audio_path))
+            if path not in wavs:
+                wavs[path] = audio.normalize(audio.mel_spectrogram(audio.read_wav(path)))
+            out.append(Example(e.utt_id, wavs[path], target_ids, e.lang))
     fdim = None  # one feature dimension for every archive record of the split
     for archive, utt_ids in archives.values():
         fdim = archive.check(utt_ids, fdim)

@@ -546,6 +546,21 @@ def test_evaluate_matches_references_by_id_and_language(tmp_path, capsys):
                           str(tmp_path / "bad.json"), "'u0'", "'L2'")
 
 
+@pytest.mark.parametrize("rows,names", [
+    (["u0", "u0", "u0"], ["hyp.tsv:2", "hyp.tsv:1", "'u0'", "'L0'"]),
+    (["u0", "u2"], ["1 of the 3 rows", "'u1'", "'L0'"])], ids=["repeated", "missing"])
+def test_evaluate_needs_every_split_row_once(tmp_path, capsys, rows, names):
+    # one hypothesis repeated three times once scored BLEU 100 on a 3-row split
+    manifest = str(tmp_path / "manifest.tsv")
+    write_manifest(manifest, [ManifestEntry(f"data.feats#u{i}", "abc", f"l{i}lll", "L0", "test")
+                              for i in range(3)])
+    hyp = tmp_path / "hyp.tsv"
+    hyp.write_text("".join(f"{utt}\tL0\tL0\t-1.0\tl{utt[1]}lll\n" for utt in rows))
+    out = str(tmp_path / "report.json")
+    _exits_1_with_message(capsys, ["evaluate", "--hyp", str(hyp), "--manifest", manifest,
+                                   "--char-level", "--out", out], out, *names)
+
+
 @pytest.mark.parametrize("command", ["train", "translate"])
 def test_features_of_another_width_than_n_mels_exit_1(tmp_path, capsys, command):
     from multislt.audio import write_feature_archive

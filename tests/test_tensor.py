@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracle
 from multislt import tensor as T
 from multislt.tensor import Tensor, ShapeError, grad_check
 
@@ -167,19 +168,24 @@ def test_norms_equal_np_var_formulation(seed, shape):
     mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
     np.testing.assert_array_equal(out, (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * gamma + beta)
 
+    # batch norm's variance is an einsum pass, so it matches to 1e-12; the
+    # replaced kernel (the oracle) matches bit for bit
     c = shape[1]
     gamma, beta = rng.normal(size=c), rng.normal(size=c)
     run_mean, run_var = rng.normal(size=c), rng.uniform(0.5, 2.0, c)
     mean0, var0 = run_mean.copy(), run_var.copy()
-    out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), True, run_mean, run_var).data
     mu, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
     n = x.size // c
     cs = (1, -1, 1, 1)
     expected = ((x - mu.reshape(cs)) * (1.0 / np.sqrt(var + 1e-5).reshape(cs))
                 * gamma.reshape(cs) + beta.reshape(cs))
-    np.testing.assert_array_equal(out, expected)
-    np.testing.assert_array_equal(run_mean, mean0 * 0.9 + 0.1 * mu)
-    np.testing.assert_array_equal(run_var, var0 * 0.9 + 0.1 * var * n / max(n - 1, 1))
+    want_mean = mean0 * 0.9 + 0.1 * mu
+    want_var = var0 * 0.9 + 0.1 * var * n / max(n - 1, 1)
+    old_mean, old_var = mean0.copy(), var0.copy()
+    out = oracle.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), True, old_mean, old_var).data
+    _assert_all_equal([out, old_mean, old_var], [expected, want_mean, want_var])
+    out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), True, run_mean, run_var).data
+    _assert_all_close([out, run_mean, run_var], [expected, want_mean, want_var])
 
 
 def test_cross_entropy_uniform_logits():
@@ -254,6 +260,11 @@ OPS = {
         T.layer_norm(x, Tensor(rng.normal(size=x.shape[-1]), requires_grad=True),
                      Tensor(rng.normal(size=x.shape[-1]), requires_grad=True)),
         Tensor(rng.normal(size=x.shape)))),
+    # x is both operands of the residual sum
+    "add_layer_norm": lambda x, rng: T.tsum(T.mul(
+        T.add_layer_norm(x, T.tanh(x), Tensor(rng.normal(size=x.shape[-1]), requires_grad=True),
+                         Tensor(rng.normal(size=x.shape[-1]), requires_grad=True)),
+        Tensor(rng.normal(size=x.shape)))),
     "exp": lambda x, rng: T.tsum(T.exp(x)),
     "concat": lambda x, rng: T.tsum(T.mul(
         T.concat([x, x], axis=0), Tensor(rng.normal(size=(2 * x.shape[0],) + x.shape[1:])))),
@@ -297,6 +308,22 @@ def test_conv2d_grad_check(seed, stride):
 
     err = grad_check(f, Tensor(rng.normal(size=(1, 1, 5, 6))))
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("extent", [(5, 7), (6, 8)], ids=["odd", "even"])
+@pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1), (1, 2)], ids=str)
+def test_conv2d_grad_check_every_stride(stride, extent):
+    # every operand, on a phase split with odd and even extents per axis
+    rng = np.random.default_rng(20 + stride[0] + 2 * stride[1] + extent[0])
+    arrays = [rng.normal(size=(2, 2) + extent), rng.normal(size=(3, 2, 3, 3)),
+              rng.normal(size=3)]
+    w_out = rng.normal(size=T.conv2d(*(Tensor(a) for a in arrays), stride=stride).shape)
+    for i, arr in enumerate(arrays):
+        def f(t):
+            ts = [Tensor(a) for a in arrays]
+            ts[i] = t
+            return T.tsum(T.mul(T.conv2d(*ts, stride=stride), Tensor(w_out)))
+        assert grad_check(f, Tensor(arr.copy())) < 1e-6
 
 
 def _conv_block_operands(rng, b=3, c=2, o=4, h=7, w=6):
@@ -352,6 +379,14 @@ def _rel_err(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
+def _assert_all_close(got, want):
+    """Equal shapes, and values within 1e-12 of the largest magnitude."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert _rel_err(a, b) <= 1e-12
+
+
 @given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.integers(1, 9),
        st.integers(1, 9), st.sampled_from([(1, 1), (2, 2), (2, 1), (1, 2)]),
        st.integers(0, 2 ** 32 - 1))
@@ -368,6 +403,51 @@ def test_conv2d_matches_einsum_oracle(b, c, o, h, w, stride, seed):
     for got, ref in zip((out.data, x.grad, wt.grad, bt.grad), want):
         assert got.shape == ref.shape
         assert _rel_err(got, ref) <= 1e-12
+
+
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.integers(1, 9),
+       st.integers(1, 9), st.sampled_from([(1, 1), (2, 2), (2, 1), (1, 2)]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_conv2d_matches_im2col_oracle(b, c, o, h, w, stride, seed):
+    # the strided-tap im2col kernel that the phase split replaced
+    rng = np.random.default_rng(seed)
+    arrays = (rng.normal(size=(b, c, h, w)), rng.normal(size=(o, c, 3, 3)), rng.normal(size=o))
+    g = rng.normal(size=(b, o, -(-h // stride[0]), -(-w // stride[1])))
+    _assert_all_close(_run(lambda *t: T.conv2d(*t, stride=stride), arrays, g),
+                      _run(lambda *t: oracle.conv2d(*t, stride=stride), arrays, g))
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("stride", [(1, 1), (2, 2), (2, 1), (1, 2)], ids=str)
+@pytest.mark.parametrize("h, w", [(7, 6), (8, 5)])
+def test_conv_block_matches_replaced_kernels(h, w, stride, training):
+    # outputs, every gradient and the running statistics
+    rng = np.random.default_rng(40 + h)
+    arrays = _conv_block_operands(rng, h=h, w=w)
+    g = rng.normal(size=(3, 4, -(-h // stride[0]), -(-w // stride[1])))
+    _assert_all_close(_run_conv_block(T.conv_block, arrays, g, training, True, stride),
+                      _run_conv_block(oracle.conv_block, arrays, g, training, True, stride))
+
+
+# Not 2 values per channel: then x̂ = ±1 whatever the input, so the input
+# gradient is zero up to rounding and has no relative error to compare.
+@given(st.sampled_from([(24, 12, 10, 10), (3, 4, 9, 6), (2, 3, 2, 1)]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_batch_norm_matches_replaced_kernel(shape, training, seed):
+    rng = np.random.default_rng(seed)
+    c = shape[1]
+    arrays = (rng.normal(3.0, 2.0, shape), rng.normal(size=c), rng.normal(size=c))
+    g = rng.normal(size=shape)
+
+    def run(op):
+        mean, var = rng.normal(size=c), rng.uniform(0.5, 2.0, c)
+        return _run(lambda *t: op(*t, training, mean, var), arrays, g) + [mean, var]
+    state = rng.bit_generator.state
+    got = run(T.batch_norm)
+    rng.bit_generator.state = state
+    _assert_all_close(got, run(oracle.batch_norm))
 
 
 # fused ops against their unfused compositions -----------------------------
@@ -407,7 +487,11 @@ def test_linear_equals_matmul_plus_bias(lead, d_out, seed):
     x = rng.normal(size=lead + (4,))
     w, b = rng.normal(size=(4, d_out)), rng.normal(size=d_out)
     g = rng.normal(size=lead + (d_out,))
-    _assert_all_equal(_run(T.linear, (x, w, b), g), _run(_unfused_linear, (x, w, b), g))
+    want = _run(_unfused_linear, (x, w, b), g)
+    # one GEMM per leading index (the oracle) sums as matmul does; the 2-D
+    # GEMMs sum the weight gradient over all rows at once
+    _assert_all_equal(_run(oracle.linear, (x, w, b), g), want)
+    _assert_all_close(_run(T.linear, (x, w, b), g), want)
 
 
 @given(st.sampled_from([None, "keys", "full"]), st.booleans(), st.integers(1, 4),
@@ -525,14 +609,34 @@ def test_conv_block_equals_unfused_composition(seed, stride, training, x_grad):
     want = _run_conv_block(_unfused_conv_block, arrays, g, training, x_grad, stride)
     got = _run_conv_block(T.conv_block, arrays, g, training, x_grad, stride)
     _assert_all_equal(got, want)
+    # training statistics come from an einsum pass, within 1e-12 of numpy's
     witness = _np_batch_norm_of_relu(arrays, training, stride)
-    _assert_all_equal([got[0]] + got[-2:], witness)
+    (_assert_all_close if training else _assert_all_equal)([got[0]] + got[-2:], witness)
     if not training:  # the inference path: eval mode under no_grad
         with T.no_grad():
             out = T.conv_block(*(Tensor(a, requires_grad=True) for a in arrays), False,
                                *_running_stats(4), stride)
         assert out._prev == () and not out.requires_grad
         assert np.array_equal(out.data, want[0])
+
+
+@given(st.sampled_from([(3, 6), (2, 5, 8), (1, 1, 4)]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_add_layer_norm_equals_add_then_layer_norm(shape, shared, seed):
+    # shared: the sublayer's input is the residual input, as in the model
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=shape), rng.normal(size=shape)
+    gamma, beta = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    g = rng.normal(size=shape)
+    fused, unfused, arrays = {  # shared: y = tanh(x)
+        True: (lambda x, *p: T.add_layer_norm(x, T.tanh(x), *p),
+               lambda x, *p: T.layer_norm(T.add(x, T.tanh(x)), *p), (x, gamma, beta)),
+        False: (T.add_layer_norm, lambda x, y, *p: T.layer_norm(T.add(x, y), *p),
+                (x, y, gamma, beta))}[shared]
+    got = _run(fused, arrays, g)
+    _assert_all_equal(got, _run(unfused, arrays, g))
+    # the sum's gradient goes to both operands, but each keeps its own array
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(got) for b in got[i + 1:])
 
 
 def test_sa2d_frequency_attention_on_transposed_views():
@@ -581,6 +685,25 @@ def test_first_gradient_is_a_private_copy():
     a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     T.tsum(T.add(a, a)).backward()
     np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
+
+
+def test_fresh_gradient_is_kept_only_in_the_data_layout():
+    x = Tensor(np.ones((3, 4)), requires_grad=True)
+    g = np.full((3, 4), 2.0)
+    x._accumulate(g, fresh=True)
+    assert x.grad is g
+    x._accumulate(g)  # a later gradient is summed into the first
+    np.testing.assert_array_equal(g, np.full((3, 4), 4.0))
+    # a fresh gradient in another layout is copied into data's
+    x = Tensor(np.ones((4, 3)).T, requires_grad=True)
+    g = np.full((3, 4), 2.0)
+    x._accumulate(g, fresh=True)
+    assert x.grad is not g and x.grad.strides == x.data.strides
+    # a fresh gradient for a relu of a transposed input takes the input's layout
+    x = Tensor(np.arange(-6.0, 6.0).reshape(4, 3).T, requires_grad=True)
+    T.tsum(T.relu(x)).backward()
+    assert x.grad.strides == x.data.strides
+    np.testing.assert_array_equal(x.grad, x.data > 0)
 
 
 @pytest.mark.parametrize("idx", [np.array([0, 0]), 1, (slice(None), 0), [0, 1]],
